@@ -276,7 +276,7 @@ pub fn run_pruning_power(data: &Datasets) -> Vec<PruningPowerRow> {
         .map(|bench| {
             let db = data.for_query(bench);
             let dual = prune(db, &bench.query, &cfg);
-            let forward = prune_with(db, &bench.query, &cfg, SimulationKind::Forward, 1);
+            let forward = prune_with(db, &bench.query, &cfg, SimulationKind::Forward);
             assert!(
                 forward.num_kept() >= dual.num_kept(),
                 "{}: forward simulation must be the weaker notion",

@@ -36,8 +36,7 @@
 //!   [`SolveStats`]).
 //! * **Sharded draining.** The worklist is drained in *rounds*: each
 //!   round freezes χ, shards the pending removals by inequality (the
-//!   counter slabs are disjoint per inequality, the same disjointness
-//!   `prune_with_threads` exploits for edge units), computes every
+//!   counter slabs are disjoint per inequality), computes every
 //!   shard's decrements and removal proposals independently, and merges
 //!   the proposals into χ in inequality order. Under
 //!   [`DrainStrategy::Sharded`] the shard phase fans out over

@@ -43,7 +43,7 @@
 //! let q = parse("SELECT * WHERE { ?d directed ?m . ?d worked_with ?c }").unwrap();
 //! let report = prune(&db, &q, &SolverConfig::default());
 //! // T. Young has no worked_with edge, so only De Palma's triples remain.
-//! assert_eq!(report.kept_triples.len(), 2);
+//! assert_eq!(report.num_kept(), 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -79,9 +79,7 @@ pub use session::{
     BatchReport, HealPath, QueryHealth, QueryOutcome, QueryRecovery, QuerySession,
     SessionDurability, SessionOptions, SessionRecovery, SessionStats,
 };
-pub use pruning::{
-    prune, prune_with, prune_with_threads, solve_query, solve_query_with, PruneReport,
-};
+pub use pruning::{prune, prune_with, solve_query, solve_query_with, PruneReport};
 pub use plan::SolvePlan;
 pub use quotient::QuotientIndex;
 pub use soi::{build_sois, build_sois_with, Inequality, PatternEdge, SimulationKind, Soi, SoiVar};

@@ -6,6 +6,12 @@
 //! soundness results (Thm. 1/2) every triple witnessing any SPARQL match
 //! is admitted, so no match is lost (Def. 3).
 //!
+//! The surviving triples are never copied: [`prune`] keeps the χ and one
+//! counting walk's per-label totals, and [`PruneReport::pruned_db`] is a
+//! [`PrunedView`] of the original database through them. The triple list
+//! ([`PruneReport::kept_triples`]) and a database of its own
+//! ([`PrunedView::materialize`]) are built on demand.
+//!
 //! For **well-designed** queries (and all OPTIONAL-free ones) this makes
 //! re-evaluation on the pruned database return *exactly* the original
 //! result set — what Tables 4/5 exploit. For non-well-designed queries
@@ -16,28 +22,33 @@
 //! processing must re-check candidate rows in that fragment.
 
 use crate::{solve, Soi, Solution, SolveStats, SolverConfig};
-use dualsim_graph::{GraphDb, Triple};
+use dualsim_graph::{ChiFilter, GraphDb, PrunedView, Triple};
 use dualsim_query::Query;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Outcome of pruning a database for one query.
+///
+/// The pruning is kept as what defines it — the solutions' χ, grouped per
+/// label into the `(χ(src), χ(dst))` pairs of the pattern edges — not as a
+/// list of triples: [`PruneReport::pruned_db`] hands the join engines a
+/// view of the original database through those pairs.
 #[derive(Debug, Clone)]
 pub struct PruneReport {
-    /// The surviving triples, sorted and deduplicated.
-    pub kept_triples: Vec<Triple>,
     /// Solver statistics per union-free branch.
     pub branch_stats: Vec<SolveStats>,
     /// Time spent computing the largest solutions (the dominant part of
     /// `t_SPARQLSIM` in Table 3).
     pub solve_time: Duration,
-    /// Time spent materializing the surviving triples.
+    /// Time spent counting the surviving triples per label.
     pub extract_time: Duration,
+    filter: Arc<ChiFilter>,
 }
 
 impl PruneReport {
     /// Number of triples after pruning (the last column of Table 3).
     pub fn num_kept(&self) -> usize {
-        self.kept_triples.len()
+        self.filter.num_kept()
     }
 
     /// Total pruning time (`t_SPARQLSIM`).
@@ -50,16 +61,22 @@ impl PruneReport {
         if db.num_triples() == 0 {
             return 0.0;
         }
-        1.0 - self.kept_triples.len() as f64 / db.num_triples() as f64
+        1.0 - self.num_kept() as f64 / db.num_triples() as f64
     }
 
-    /// Materializes the pruned database (shared vocabulary, stable ids).
-    pub fn pruned_db(&self, db: &GraphDb) -> GraphDb {
-        // Structural invariant: every kept triple was read out of `db`,
-        // so re-materializing against the same vocabulary cannot fail.
-        #[allow(clippy::expect_used)]
-        db.with_triples(&self.kept_triples)
-            .expect("kept triples come from `db` itself")
+    /// The pruned database: a view of `db` (the database that was pruned)
+    /// admitting exactly the surviving triples. Builds nothing; the view
+    /// shares the report's χ and borrows only `db`.
+    pub fn pruned_db<'a>(&self, db: &'a GraphDb) -> PrunedView<'a> {
+        PrunedView::new(db, Arc::clone(&self.filter))
+    }
+
+    /// The surviving triples of `db`, sorted. Enumerated on demand: the
+    /// join engines never need the list.
+    pub fn kept_triples(&self, db: &GraphDb) -> Vec<Triple> {
+        let mut kept: Vec<Triple> = self.pruned_db(db).triples().collect();
+        kept.sort_unstable();
+        kept
     }
 
     /// Sum of solver iterations across branches (the §5.3 metric: two for
@@ -96,136 +113,56 @@ pub fn solve_query_with(
 /// pattern edge of some union-free branch under the branch's largest
 /// solution.
 pub fn prune(db: &GraphDb, query: &Query, config: &SolverConfig) -> PruneReport {
-    prune_with(db, query, config, crate::SimulationKind::Dual, 1)
+    prune_with(db, query, config, crate::SimulationKind::Dual)
 }
 
-/// Like [`prune`], but with the triple extraction fanned out over
-/// `threads` worker threads (one unit of work per pattern edge). The
-/// result is identical to the sequential run — the paper advertises the
-/// bit-matrix formulation as amenable to "massive parallelization
-/// techniques of bit-matrix operations", and the extraction step is the
-/// embarrassingly parallel part of the pipeline.
-pub fn prune_with_threads(
-    db: &GraphDb,
-    query: &Query,
-    config: &SolverConfig,
-    threads: usize,
-) -> PruneReport {
-    prune_with(db, query, config, crate::SimulationKind::Dual, threads)
-}
-
-/// The fully general pruning entry point: explicit simulation kind and
-/// extraction parallelism. [`crate::SimulationKind::Forward`] prunes by
-/// plain simulation (the Panda \[31\] notion), which keeps at least as
-/// many triples as dual simulation — an ablation for the paper's claim
-/// that dual simulation prunes more effectively.
+/// Pruning with an explicit simulation kind.
+/// [`crate::SimulationKind::Forward`] prunes by plain simulation (the
+/// Panda \[31\] notion), which keeps at least as many triples as dual
+/// simulation — an ablation for the paper's claim that dual simulation
+/// prunes more effectively.
 pub fn prune_with(
     db: &GraphDb,
     query: &Query,
     config: &SolverConfig,
     kind: crate::SimulationKind,
-    threads: usize,
 ) -> PruneReport {
     let solve_start = Instant::now();
     let branches = solve_query_with(db, query, config, kind);
     let solve_time = solve_start.elapsed();
 
     let extract_start = Instant::now();
-    // One unit of work per pattern edge of every non-empty branch.
-    let mut units: Vec<(&crate::Soi, &Solution, usize)> = Vec::new();
-    for (soi, solution) in &branches {
-        if solution.is_certainly_empty() {
-            continue; // the branch admits no matches, nothing to keep
+    let mut branch_stats = Vec::with_capacity(branches.len());
+    let mut chi = Vec::new();
+    let mut edges = Vec::new();
+    for (soi, solution) in branches {
+        // A certainly empty branch admits no matches: nothing to keep.
+        if !solution.is_certainly_empty() {
+            let base = chi.len();
+            edges.extend(
+                soi.edges
+                    .iter()
+                    .filter_map(|e| e.label.map(|a| (a, base + e.src, base + e.dst))),
+            );
+            chi.extend(solution.chi);
         }
-        for edge_idx in 0..soi.edges.len() {
-            units.push((soi, solution, edge_idx));
-        }
+        branch_stats.push(solution.stats);
     }
-    let threads = threads.max(1).min(units.len().max(1));
-    let mut kept: Vec<Triple> = if threads <= 1 {
-        let mut out = Vec::new();
-        for &(soi, solution, edge_idx) in &units {
-            extract_edge(db, soi, solution, edge_idx, &mut out);
-        }
-        out
-    } else {
-        let chunk = units.len().div_ceil(threads);
-        let mut partials = std::thread::scope(|scope| {
-            let handles: Vec<_> = units
-                .chunks(chunk)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        for &(soi, solution, edge_idx) in chunk {
-                            extract_edge(db, soi, solution, edge_idx, &mut out);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            // Structural invariant: a worker panic is a bug, not a
-            // recoverable condition.
-            #[allow(clippy::expect_used)]
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("extraction worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        let total = partials.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(total);
-        for p in &mut partials {
-            out.append(p);
-        }
-        out
-    };
-    kept.sort_unstable();
-    kept.dedup();
+    let filter = Arc::new(ChiFilter::new(db, chi, &edges));
     let extract_time = extract_start.elapsed();
 
     PruneReport {
-        kept_triples: kept,
-        branch_stats: branches.into_iter().map(|(_, s)| s.stats).collect(),
+        branch_stats,
         solve_time,
         extract_time,
-    }
-}
-
-/// Collects the database triples admitted by one pattern edge,
-/// enumerating from the smaller χ side.
-fn extract_edge(
-    db: &GraphDb,
-    soi: &crate::Soi,
-    solution: &Solution,
-    edge_idx: usize,
-    out: &mut Vec<Triple>,
-) {
-    let e = &soi.edges[edge_idx];
-    let Some(a) = e.label else { return };
-    let src = &solution.chi[e.src];
-    let dst = &solution.chi[e.dst];
-    if src.count_ones() <= dst.count_ones() {
-        for s in src.iter_ones() {
-            for &o in db.out_neighbors(s as u32, a) {
-                if dst.get(o as usize) {
-                    out.push(Triple::new(s as u32, a, o));
-                }
-            }
-        }
-    } else {
-        for o in dst.iter_ones() {
-            for &s in db.in_neighbors(o as u32, a) {
-                if src.get(s as usize) {
-                    out.push(Triple::new(s, a, o as u32));
-                }
-            }
-        }
+        filter,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dualsim_graph::GraphDbBuilder;
+    use dualsim_graph::{GraphDbBuilder, GraphView};
     use dualsim_query::parse;
 
     /// The Fig. 1(a) database (see `solver::tests` for the edge
@@ -276,11 +213,16 @@ mod tests {
         // Exactly the four triples of the two (X1) matches survive.
         assert_eq!(report.num_kept(), 4);
         let pruned = report.pruned_db(&db);
-        assert!(pruned.contains_triple(Triple::new(
+        assert_eq!(pruned.num_triples(), 4);
+        let directed = pruned.label(db.label_id("directed").unwrap());
+        assert!(directed.contains(
             db.node_id("B. De Palma").unwrap(),
-            db.label_id("directed").unwrap(),
             db.node_id("Mission: Impossible").unwrap(),
-        )));
+        ));
+        assert!(!directed.contains(
+            db.node_id("T. Young").unwrap(),
+            db.node_id("Thunderball").unwrap(),
+        ));
         assert!(report.prune_ratio(&db) > 0.7);
     }
 
@@ -309,15 +251,11 @@ mod tests {
             &parse("{ ?x sequel_of ?y }").unwrap(),
             &SolverConfig::default(),
         );
-        let mut expected: Vec<Triple> = directed
-            .kept_triples
-            .iter()
-            .chain(sequel.kept_triples.iter())
-            .copied()
-            .collect();
+        let mut expected = directed.kept_triples(&db);
+        expected.extend(sequel.kept_triples(&db));
         expected.sort_unstable();
         expected.dedup();
-        assert_eq!(report.kept_triples, expected);
+        assert_eq!(report.kept_triples(&db), expected);
         assert_eq!(report.branch_stats.len(), 2);
     }
 
@@ -330,16 +268,9 @@ mod tests {
         // worked_with triples of directors.
         let directed = db.label_id("directed").unwrap();
         let worked_with = db.label_id("worked_with").unwrap();
-        let kept_directed = report
-            .kept_triples
-            .iter()
-            .filter(|t| t.p == directed)
-            .count();
-        let kept_ww = report
-            .kept_triples
-            .iter()
-            .filter(|t| t.p == worked_with)
-            .count();
+        let kept = report.kept_triples(&db);
+        let kept_directed = kept.iter().filter(|t| t.p == directed).count();
+        let kept_ww = kept.iter().filter(|t| t.p == worked_with).count();
         assert_eq!(kept_directed, 5, "all five directed triples survive");
         assert_eq!(kept_ww, 2, "De Palma's and Hamilton's coworker edges");
         // P.R. Hunt's worked_with edge points at T. Young, who is a
@@ -347,10 +278,7 @@ mod tests {
         // optional subject ?d@… must itself be a director (subset
         // inequality), and P.R. Hunt directed nothing.
         let hunt = db.node_id("P.R. Hunt").unwrap();
-        assert!(!report
-            .kept_triples
-            .iter()
-            .any(|t| t.p == worked_with && t.s == hunt));
+        assert!(!kept.iter().any(|t| t.p == worked_with && t.s == hunt));
     }
 
     #[test]
@@ -359,9 +287,9 @@ mod tests {
         let q = parse("{ ?d directed ?m . ?d worked_with ?c }").unwrap();
         let cfg = SolverConfig::default();
         let once = prune(&db, &q, &cfg);
-        let pruned = once.pruned_db(&db);
+        let pruned = once.pruned_db(&db).materialize();
         let twice = prune(&pruned, &q, &cfg);
-        assert_eq!(once.kept_triples, twice.kept_triples);
+        assert_eq!(once.kept_triples(&db), twice.kept_triples(&pruned));
     }
 
     #[test]
@@ -375,10 +303,11 @@ mod tests {
         ] {
             let q = parse(text).unwrap();
             let dual = prune(&db, &q, &cfg);
-            let forward = prune_with(&db, &q, &cfg, crate::SimulationKind::Forward, 1);
-            for t in &dual.kept_triples {
+            let forward = prune_with(&db, &q, &cfg, crate::SimulationKind::Forward);
+            let forward_kept = forward.kept_triples(&db);
+            for t in dual.kept_triples(&db) {
                 assert!(
-                    forward.kept_triples.contains(t),
+                    forward_kept.contains(&t),
                     "{text}: dual keeps {t:?} that forward pruned"
                 );
             }
@@ -402,35 +331,13 @@ mod tests {
         let cfg = SolverConfig::default();
         let q = parse("{ ?d directed ?m . ?m genre ?g . ?p prequel_of ?m }").unwrap();
         let dual = prune(&db, &q, &cfg);
-        let forward = prune_with(&db, &q, &cfg, crate::SimulationKind::Forward, 1);
+        let forward = prune_with(&db, &q, &cfg, crate::SimulationKind::Forward);
         assert!(
             forward.num_kept() > dual.num_kept(),
             "forward {} vs dual {}",
             forward.num_kept(),
             dual.num_kept()
         );
-    }
-
-    #[test]
-    fn parallel_pruning_matches_sequential() {
-        let db = fig1_db();
-        let cfg = SolverConfig::default();
-        for text in [
-            "{ ?d directed ?m . ?d worked_with ?c }",
-            "{ ?d directed ?m OPTIONAL { ?d worked_with ?c } }",
-            "{ { ?d directed ?m } UNION { ?x sequel_of ?y } }",
-            "{ ?m awarded ?a . ?m born_in ?p }",
-        ] {
-            let q = parse(text).unwrap();
-            let sequential = prune(&db, &q, &cfg);
-            for threads in [2, 4, 16] {
-                let parallel = prune_with_threads(&db, &q, &cfg, threads);
-                assert_eq!(
-                    sequential.kept_triples, parallel.kept_triples,
-                    "{text} with {threads} threads"
-                );
-            }
-        }
     }
 
     #[test]

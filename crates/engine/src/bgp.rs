@@ -3,7 +3,7 @@
 //! provenance tracking (which database triples witness each match).
 
 use crate::{Row, VarTable};
-use dualsim_graph::{GraphDb, LabelId, NodeId, NodeKind, Triple};
+use dualsim_graph::{GraphView, LabelView, NodeId, NodeKind, Triple};
 use dualsim_query::{Term, TriplePattern};
 use std::collections::HashMap;
 
@@ -58,15 +58,16 @@ pub(crate) enum Slot {
     Const(Option<NodeId>),
 }
 
-/// A triple pattern with resolved endpoints and label.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ResolvedPattern {
+/// A triple pattern with resolved endpoints and label: the label's edges
+/// in the graph view, or `None` for a predicate outside the vocabulary.
+#[derive(Clone, Copy)]
+pub(crate) struct ResolvedPattern<'a> {
     pub s: Slot,
-    pub label: Option<LabelId>,
+    pub label: Option<LabelView<'a>>,
     pub o: Slot,
 }
 
-impl ResolvedPattern {
+impl ResolvedPattern<'_> {
     /// `true` iff the pattern can never match (unknown label/constant).
     fn is_dead(&self) -> bool {
         self.label.is_none()
@@ -75,32 +76,35 @@ impl ResolvedPattern {
     }
 }
 
-pub(crate) fn resolve_term(db: &GraphDb, term: &Term, vt: &VarTable) -> Slot {
+pub(crate) fn resolve_term(db: &dyn GraphView, term: &Term, vt: &VarTable) -> Slot {
+    let vocab = db.vocab();
     match term {
         Term::Var(v) => Slot::Var(
             vt.position(v)
                 .expect("var table covers all query variables"),
         ),
         Term::Iri(iri) => Slot::Const(
-            db.node_id(iri)
-                .filter(|&n| db.node_kind(n) == NodeKind::Iri),
+            vocab
+                .node_id(iri)
+                .filter(|&n| vocab.node_kind(n) == NodeKind::Iri),
         ),
         Term::Literal(l) => Slot::Const(
-            db.node_id(l)
-                .filter(|&n| db.node_kind(n) == NodeKind::Literal),
+            vocab
+                .node_id(l)
+                .filter(|&n| vocab.node_kind(n) == NodeKind::Literal),
         ),
     }
 }
 
-pub(crate) fn resolve_patterns(
-    db: &GraphDb,
+pub(crate) fn resolve_patterns<'a>(
+    db: &'a dyn GraphView,
     tps: &[TriplePattern],
     vt: &VarTable,
-) -> Vec<ResolvedPattern> {
+) -> Vec<ResolvedPattern<'a>> {
     tps.iter()
         .map(|tp| ResolvedPattern {
             s: resolve_term(db, &tp.s, vt),
-            label: db.label_id(&tp.p),
+            label: db.vocab().label_id(&tp.p).map(|a| db.label(a)),
             o: resolve_term(db, &tp.o, vt),
         })
         .collect()
@@ -111,7 +115,7 @@ pub(crate) fn resolve_patterns(
 /// labels are matched first, each further pattern extends the current
 /// partial match through the adjacency indexes.
 pub(crate) fn eval_bgp_nested_loop<P: BgpPayload>(
-    db: &GraphDb,
+    db: &dyn GraphView,
     tps: &[TriplePattern],
     vt: &VarTable,
 ) -> Vec<(Row, P)> {
@@ -122,17 +126,21 @@ pub(crate) fn eval_bgp_nested_loop<P: BgpPayload>(
     if patterns.is_empty() {
         return vec![(vec![None; vt.len()], P::from_trail(&[]))]; // μ∅
     }
-    let order = greedy_order(db, &patterns);
+    let order = greedy_order(&patterns);
     let mut row: Row = vec![None; vt.len()];
     let mut trail: Vec<Triple> = Vec::with_capacity(patterns.len());
     let mut out = Vec::new();
-    extend(db, &patterns, &order, 0, &mut row, &mut trail, &mut out);
+    extend(&patterns, &order, 0, &mut row, &mut trail, &mut out);
     out
 }
 
 /// Plain-row convenience wrapper (drops the payload).
 #[cfg(test)]
-pub(crate) fn nested_loop_rows(db: &GraphDb, tps: &[TriplePattern], vt: &VarTable) -> Vec<Row> {
+pub(crate) fn nested_loop_rows(
+    db: &dyn GraphView,
+    tps: &[TriplePattern],
+    vt: &VarTable,
+) -> Vec<Row> {
     eval_bgp_nested_loop::<()>(db, tps, vt)
         .into_iter()
         .map(|(r, ())| r)
@@ -141,7 +149,7 @@ pub(crate) fn nested_loop_rows(db: &GraphDb, tps: &[TriplePattern], vt: &VarTabl
 
 /// Chooses a static pattern order: at each step the pattern with the
 /// fewest free endpoints, breaking ties by label cardinality.
-fn greedy_order(db: &GraphDb, patterns: &[ResolvedPattern]) -> Vec<usize> {
+fn greedy_order(patterns: &[ResolvedPattern]) -> Vec<usize> {
     let mut remaining: Vec<usize> = (0..patterns.len()).collect();
     let mut bound_vars = std::collections::HashSet::new();
     let mut order = Vec::with_capacity(patterns.len());
@@ -161,7 +169,7 @@ fn greedy_order(db: &GraphDb, patterns: &[ResolvedPattern]) -> Vec<usize> {
                         free_count = 1; // one variable to enumerate
                     }
                 }
-                let card = p.label.map(|l| db.num_label_triples(l)).unwrap_or(0);
+                let card = p.label.map_or(0, |l| l.num_triples());
                 (free_count, card, i)
             })
             .map(|(pos, &i)| (pos, i))
@@ -187,7 +195,6 @@ fn slot_value(slot: Slot, row: &Row) -> Option<NodeId> {
 }
 
 fn extend<P: BgpPayload>(
-    db: &GraphDb,
     patterns: &[ResolvedPattern],
     order: &[usize],
     depth: usize,
@@ -204,31 +211,33 @@ fn extend<P: BgpPayload>(
     // Recurse with the chosen triple on the provenance trail.
     macro_rules! descend {
         ($s:expr, $o:expr) => {{
-            trail.push(Triple::new($s, a, $o));
-            extend(db, patterns, order, depth + 1, row, trail, out);
+            trail.push(Triple::new($s, a.id(), $o));
+            extend(patterns, order, depth + 1, row, trail, out);
             trail.pop();
         }};
     }
     match (slot_value(p.s, row), slot_value(p.o, row)) {
         (Some(s), Some(o)) => {
-            if db.contains_triple(Triple::new(s, a, o)) {
+            if a.contains(s, o) {
                 descend!(s, o);
             }
         }
+        // The two probes iterate internally: `Neighbors::fold` picks the
+        // row's filter once, outside the loop.
         (Some(s), None) => {
             let Slot::Var(ov) = p.o else { unreachable!() };
-            for &o in db.out_neighbors(s, a) {
+            a.out_row(s).for_each(|o| {
                 row[ov] = Some(o);
                 descend!(s, o);
-            }
+            });
             row[ov] = None;
         }
         (None, Some(o)) => {
             let Slot::Var(sv) = p.s else { unreachable!() };
-            for &s in db.in_neighbors(o, a) {
+            a.in_row(o).for_each(|s| {
                 row[sv] = Some(s);
                 descend!(s, o);
-            }
+            });
             row[sv] = None;
         }
         (None, None) => {
@@ -237,7 +246,7 @@ fn extend<P: BgpPayload>(
             };
             if sv == ov {
                 // Self-loop pattern (v, a, v).
-                for (s, o) in db.label_pairs(a) {
+                for (s, o) in a.pairs() {
                     if s == o {
                         row[sv] = Some(s);
                         descend!(s, o);
@@ -245,7 +254,7 @@ fn extend<P: BgpPayload>(
                 }
                 row[sv] = None;
             } else {
-                for (s, o) in db.label_pairs(a) {
+                for (s, o) in a.pairs() {
                     row[sv] = Some(s);
                     row[ov] = Some(o);
                     descend!(s, o);
@@ -263,7 +272,7 @@ fn extend<P: BgpPayload>(
 /// patterns are unselective build huge intermediate tables, which is the
 /// behaviour dual-simulation pruning targets (Sect. 5.3 on L1).
 pub(crate) fn eval_bgp_hash_join<P: BgpPayload>(
-    db: &GraphDb,
+    db: &dyn GraphView,
     tps: &[TriplePattern],
     vt: &VarTable,
 ) -> Vec<(Row, P)> {
@@ -276,7 +285,7 @@ pub(crate) fn eval_bgp_hash_join<P: BgpPayload>(
 /// Plain hash-join evaluation (provenance is only supported by the
 /// nested-loop strategy; [`eval_bgp_hash_join`] attaches empty payloads
 /// and is therefore only used with `P = ()`).
-pub(crate) fn hash_join_rows(db: &GraphDb, tps: &[TriplePattern], vt: &VarTable) -> Vec<Row> {
+pub(crate) fn hash_join_rows(db: &dyn GraphView, tps: &[TriplePattern], vt: &VarTable) -> Vec<Row> {
     let patterns = resolve_patterns(db, tps, vt);
     if patterns.iter().any(ResolvedPattern::is_dead) {
         return Vec::new();
@@ -286,7 +295,7 @@ pub(crate) fn hash_join_rows(db: &GraphDb, tps: &[TriplePattern], vt: &VarTable)
     }
     let mut acc: Option<(Vec<Row>, Vec<usize>)> = None; // (rows, bound var positions)
     for p in &patterns {
-        let (table, bound) = scan_pattern(db, p, vt);
+        let (table, bound) = scan_pattern(p, vt);
         acc = Some(match acc {
             None => (table, bound),
             Some((left_rows, left_bound)) => {
@@ -310,7 +319,7 @@ pub(crate) fn hash_join_rows(db: &GraphDb, tps: &[TriplePattern], vt: &VarTable)
 }
 
 /// Scans one pattern into a binding table over the global row width.
-fn scan_pattern(db: &GraphDb, p: &ResolvedPattern, vt: &VarTable) -> (Vec<Row>, Vec<usize>) {
+fn scan_pattern(p: &ResolvedPattern, vt: &VarTable) -> (Vec<Row>, Vec<usize>) {
     let a = p.label.expect("dead patterns filtered earlier");
     let mut bound = Vec::new();
     if let Slot::Var(v) = p.s {
@@ -345,22 +354,22 @@ fn scan_pattern(db: &GraphDb, p: &ResolvedPattern, vt: &VarTable) -> (Vec<Row>, 
     };
     match (p.s, p.o) {
         (Slot::Const(Some(s)), Slot::Const(Some(o))) => {
-            if db.contains_triple(Triple::new(s, a, o)) {
+            if a.contains(s, o) {
                 rows.push(vec![None; width]);
             }
         }
         (Slot::Const(Some(s)), _) => {
-            for &o in db.out_neighbors(s, a) {
+            for o in a.out_row(s) {
                 emit(s, o, &mut rows);
             }
         }
         (_, Slot::Const(Some(o))) => {
-            for &s in db.in_neighbors(o, a) {
+            for s in a.in_row(o) {
                 emit(s, o, &mut rows);
             }
         }
         _ => {
-            for (s, o) in db.label_pairs(a) {
+            for (s, o) in a.pairs() {
                 emit(s, o, &mut rows);
             }
         }
@@ -410,7 +419,7 @@ fn merge_disjoint(l: &Row, r: &Row) -> Row {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dualsim_graph::GraphDbBuilder;
+    use dualsim_graph::{GraphDb, GraphDbBuilder};
     use dualsim_query::{parse, Query};
 
     fn db() -> GraphDb {

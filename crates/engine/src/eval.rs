@@ -12,7 +12,7 @@
 
 use crate::bgp::{eval_bgp_hash_join, eval_bgp_nested_loop, BgpPayload, Provenance};
 use crate::{ResultSet, Row, VarTable};
-use dualsim_graph::{GraphDb, NodeId, Triple};
+use dualsim_graph::{GraphView, NodeId, Triple};
 use dualsim_query::Query;
 use std::collections::{HashMap, HashSet};
 
@@ -21,12 +21,12 @@ pub trait Engine {
     /// Human-readable engine name (used in experiment tables).
     fn name(&self) -> &'static str;
 
-    /// Evaluates `query` against `db`, returning `⟦query⟧_DB` under set
-    /// semantics.
-    fn evaluate(&self, db: &GraphDb, query: &Query) -> ResultSet;
+    /// Evaluates `query` against `db` — a [`dualsim_graph::GraphDb`] or a
+    /// pruned view of one — returning `⟦query⟧_DB` under set semantics.
+    fn evaluate(&self, db: &dyn GraphView, query: &Query) -> ResultSet;
 
     /// Convenience: number of matches.
-    fn count(&self, db: &GraphDb, query: &Query) -> usize {
+    fn count(&self, db: &dyn GraphView, query: &Query) -> usize {
         self.evaluate(db, query).len()
     }
 }
@@ -46,7 +46,7 @@ impl Engine for NestedLoopEngine {
         "nested-loop"
     }
 
-    fn evaluate(&self, db: &GraphDb, query: &Query) -> ResultSet {
+    fn evaluate(&self, db: &dyn GraphView, query: &Query) -> ResultSet {
         let vt = VarTable::new(query.var_names());
         let rows = eval::<()>(db, query, &vt, eval_bgp_nested_loop::<()>);
         ResultSet::new(vt, rows.into_iter().map(|(r, ())| r).collect())
@@ -58,16 +58,21 @@ impl Engine for HashJoinEngine {
         "hash-join"
     }
 
-    fn evaluate(&self, db: &GraphDb, query: &Query) -> ResultSet {
+    fn evaluate(&self, db: &dyn GraphView, query: &Query) -> ResultSet {
         let vt = VarTable::new(query.var_names());
         let rows = eval::<()>(db, query, &vt, eval_bgp_hash_join::<()>);
         ResultSet::new(vt, rows.into_iter().map(|(r, ())| r).collect())
     }
 }
 
-type BgpFn<P> = fn(&GraphDb, &[dualsim_query::TriplePattern], &VarTable) -> Vec<(Row, P)>;
+type BgpFn<P> = fn(&dyn GraphView, &[dualsim_query::TriplePattern], &VarTable) -> Vec<(Row, P)>;
 
-fn eval<P: BgpPayload>(db: &GraphDb, q: &Query, vt: &VarTable, bgp: BgpFn<P>) -> Vec<(Row, P)> {
+fn eval<P: BgpPayload>(
+    db: &dyn GraphView,
+    q: &Query,
+    vt: &VarTable,
+    bgp: BgpFn<P>,
+) -> Vec<(Row, P)> {
     let rows = match q {
         Query::Bgp(tps) => bgp(db, tps, vt),
         Query::And(a, b) => {
@@ -195,7 +200,7 @@ fn compatible_join<P: BgpPayload>(
 /// result mapping, computed by provenance-tracking evaluation (exact
 /// even for non-well-designed queries, where a bare optional part must
 /// *not* contribute coincidental triples).
-pub fn required_triples(db: &GraphDb, query: &Query) -> HashSet<Triple> {
+pub fn required_triples(db: &dyn GraphView, query: &Query) -> HashSet<Triple> {
     let vt = VarTable::new(query.var_names());
     let rows = eval::<Provenance>(db, query, &vt, eval_bgp_nested_loop::<Provenance>);
     rows.into_iter().flat_map(|(_, p)| p.0).collect()
@@ -204,7 +209,7 @@ pub fn required_triples(db: &GraphDb, query: &Query) -> HashSet<Triple> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dualsim_graph::GraphDbBuilder;
+    use dualsim_graph::{GraphDb, GraphDbBuilder};
     use dualsim_query::parse;
 
     /// The Fig. 1(a) database (cf. `dualsim-core` for the directions).

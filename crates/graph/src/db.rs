@@ -1,7 +1,7 @@
 //! The in-memory graph database: per-label adjacency bit matrices plus a
 //! shared vocabulary.
 
-use crate::{GraphError, LabelId, NodeId, NodeKind, Vocabulary};
+use crate::{GraphError, LabelId, LabelPairs, NodeId, NodeKind, Vocabulary};
 use dualsim_bitmatrix::{BitMatrix, BitVec};
 use std::sync::Arc;
 
@@ -47,9 +47,11 @@ struct LabelData {
 /// For every label the database stores both the forward adjacency matrix
 /// `F^a` and the backward adjacency matrix `B^a`; the row summaries of
 /// those matrices are the `f^a` / `b^a` vectors used for initialization
-/// (Eq. (13)). Databases derived from this one (e.g. per-query prunings
-/// built by [`GraphDb::with_triples`]) share the same [`Vocabulary`], so
-/// node identifiers are stable across original and derived instances.
+/// (Eq. (13)). Databases derived from this one (update-stream snapshots
+/// and materialized prunings built by [`GraphDb::with_triples`]) share the
+/// same [`Vocabulary`], so node identifiers are stable across original
+/// and derived instances. Per-query prunings are normally not derived
+/// databases at all but [`crate::PrunedView`]s of this one.
 #[derive(Debug, Clone)]
 pub struct GraphDb {
     vocab: Arc<Vocabulary>,
@@ -191,8 +193,8 @@ impl GraphDb {
     }
 
     /// All `(s, o)` pairs of `a`-labeled edges, ascending by subject.
-    pub fn label_pairs(&self, label: LabelId) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.labels[label as usize].forward.entries()
+    pub fn label_pairs(&self, label: LabelId) -> LabelPairs<'_> {
+        LabelPairs::unfiltered(self.forward(label), self.backward(label))
     }
 
     /// Iterator over every triple of the database.

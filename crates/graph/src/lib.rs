@@ -33,6 +33,7 @@
 
 mod db;
 mod ntriples;
+mod view;
 mod vocab;
 
 #[cfg(test)]
@@ -40,6 +41,7 @@ mod proptests;
 
 pub use db::{GraphDb, GraphDbBuilder, LabelStats, Triple};
 pub use ntriples::{parse_ntriples, write_ntriples};
+pub use view::{ChiFilter, GraphView, LabelPairs, LabelView, Neighbors, PrunedView};
 pub use vocab::{NodeKind, Vocabulary};
 
 /// Dense identifier of a database node (object or literal).

@@ -49,7 +49,8 @@ fn main() {
         report.total_time()
     );
 
-    // 3. Soundness: the pruned database yields the same result set.
+    // 3. Soundness: the pruned database — a view of `db` through χ, no
+    //    copy is built — yields the same result set.
     let engine = NestedLoopEngine;
     let full = engine.evaluate(&db, &query);
     let pruned = engine.evaluate(&report.pruned_db(&db), &query);

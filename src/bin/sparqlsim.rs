@@ -37,7 +37,7 @@ use dualsim::core::{
     SessionDurability, SessionOptions, SlabBackend, SolverConfig,
 };
 use dualsim::engine::{Engine, HashJoinEngine, NestedLoopEngine};
-use dualsim::graph::{parse_ntriples, write_ntriples, GraphDb};
+use dualsim::graph::{parse_ntriples, write_ntriples, GraphDb, GraphView};
 use dualsim::query::{parse, Query};
 use std::process::ExitCode;
 
@@ -154,7 +154,8 @@ options:
   --output FILE.nt      prune: write the pruned database as N-Triples
   --engine E            eval: nested | hash            (default nested)
   --limit N             eval: print at most N rows     (default 20)
-  --pruned              eval: evaluate on the pruned database
+  --pruned              eval: evaluate on the pruned view of the database (warns when
+                        the query is not well-designed: rows may then be spurious)
   --exclude-labels L,M  fingerprint: predicates to leave out of the index";
 
 /// What `maintain` does when an update line fails to parse or a batch
@@ -1047,7 +1048,7 @@ fn cmd_prune(
         report.iterations()
     );
     if let Some(path) = output {
-        let pruned = report.pruned_db(db);
+        let pruned = report.pruned_db(db).materialize();
         std::fs::write(path, write_ntriples(&pruned))
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("pruned database written to {path}");
@@ -1062,8 +1063,14 @@ fn cmd_eval(db: &GraphDb, query: &Query, opts: &Opts) -> Result<(), String> {
         other => return Err(format!("unknown engine {other:?}")),
     };
     let cfg = config(opts);
-    let target;
-    let db = if opts.pruned {
+    let pruned;
+    let view: &dyn GraphView = if opts.pruned {
+        if !query.is_well_designed() {
+            eprintln!(
+                "warning: the query is not well-designed; evaluated on the pruning it may \
+                 return rows the full database does not (run without --pruned to check)"
+            );
+        }
         let report = prune(db, query, &cfg);
         println!(
             "pruning kept {} of {} triples in {:?}",
@@ -1071,13 +1078,13 @@ fn cmd_eval(db: &GraphDb, query: &Query, opts: &Opts) -> Result<(), String> {
             db.num_triples(),
             report.total_time()
         );
-        target = report.pruned_db(db);
-        &target
+        pruned = report.pruned_db(db);
+        &pruned
     } else {
         db
     };
     let started = std::time::Instant::now();
-    let results = engine.evaluate(db, query);
+    let results = engine.evaluate(view, query);
     println!(
         "{} matches in {:?} ({} engine)",
         results.len(),

@@ -1,7 +1,7 @@
 //! # dualsim — Fast Dual Simulation Processing of Graph Database Queries
 //!
 //! Facade crate re-exporting the whole workspace. See the repository
-//! README for a tour and `DESIGN.md` for the system inventory.
+//! README for a tour and the workspace layout.
 
 #![warn(missing_docs)]
 
@@ -32,10 +32,11 @@ pub use pruned::PrunedEngine;
 pub mod prelude {
     pub use crate::pruned::PrunedEngine;
     pub use dualsim_core::{
-        build_sois, prune, prune_with_threads, solve, solve_query, PruneReport, Soi, Solution,
-        SolverConfig,
+        build_sois, prune, solve, solve_query, PruneReport, Soi, Solution, SolverConfig,
     };
     pub use dualsim_engine::{Engine, HashJoinEngine, NestedLoopEngine, ResultSet};
-    pub use dualsim_graph::{parse_ntriples, write_ntriples, GraphDb, GraphDbBuilder, Triple};
+    pub use dualsim_graph::{
+        parse_ntriples, write_ntriples, GraphDb, GraphDbBuilder, GraphView, PrunedView, Triple,
+    };
     pub use dualsim_query::{parse, Query, Term, TriplePattern};
 }

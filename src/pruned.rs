@@ -4,7 +4,7 @@
 //! benefit from a direct integration of our proposal into their query
 //! processor". [`PrunedEngine`] is that integration for the in-house
 //! engines: it wraps any [`Engine`] and evaluates every query on the
-//! per-query pruned database instead of the full one.
+//! per-query pruned view of the database instead of the full one.
 //!
 //! For well-designed queries the wrapper is observationally equivalent
 //! to the inner engine (Thm. 2 and the well-designedness argument in
@@ -12,29 +12,28 @@
 //! a superset of rows, so [`PrunedEngine::new`] rejects those unless
 //! explicitly allowed with [`PrunedEngine::allowing_overapproximation`].
 
-use dualsim_core::{prune_with, SimulationKind, SolverConfig};
+use dualsim_core::{prune, SolverConfig};
 use dualsim_engine::{Engine, ResultSet};
 use dualsim_graph::GraphDb;
 use dualsim_query::Query;
 
 /// An [`Engine`] wrapper that prunes the database per query before
-/// delegating to the inner engine.
+/// delegating to the inner engine. Pruning solves against a
+/// [`GraphDb`], so the wrapper takes one where an [`Engine`] takes any
+/// view.
 #[derive(Debug, Clone)]
 pub struct PrunedEngine<E> {
     inner: E,
     config: SolverConfig,
-    threads: usize,
     allow_overapproximation: bool,
 }
 
 impl<E: Engine> PrunedEngine<E> {
-    /// Wraps `inner` with default solver configuration and sequential
-    /// extraction.
+    /// Wraps `inner` with default solver configuration.
     pub fn new(inner: E) -> Self {
         PrunedEngine {
             inner,
             config: SolverConfig::default(),
-            threads: 1,
             allow_overapproximation: false,
         }
     }
@@ -42,12 +41,6 @@ impl<E: Engine> PrunedEngine<E> {
     /// Overrides the solver configuration.
     pub fn with_config(mut self, config: SolverConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Fans the pruning extraction out over `threads` workers.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -63,10 +56,9 @@ impl<E: Engine> PrunedEngine<E> {
     pub fn inner(&self) -> &E {
         &self.inner
     }
-}
 
-impl<E: Engine> Engine for PrunedEngine<E> {
-    fn name(&self) -> &'static str {
+    /// Engine name (used in experiment tables).
+    pub fn name(&self) -> &'static str {
         "pruned"
     }
 
@@ -75,15 +67,19 @@ impl<E: Engine> Engine for PrunedEngine<E> {
     /// # Panics
     /// Panics on non-well-designed queries unless
     /// [`PrunedEngine::allowing_overapproximation`] was called.
-    fn evaluate(&self, db: &GraphDb, query: &Query) -> ResultSet {
+    pub fn evaluate(&self, db: &GraphDb, query: &Query) -> ResultSet {
         assert!(
             self.allow_overapproximation || query.is_well_designed(),
             "pruned evaluation of a non-well-designed query may \
              over-approximate; opt in with allowing_overapproximation()"
         );
-        let report = prune_with(db, query, &self.config, SimulationKind::Dual, self.threads);
-        let pruned = report.pruned_db(db);
+        let pruned = prune(db, query, &self.config).pruned_db(db);
         self.inner.evaluate(&pruned, query)
+    }
+
+    /// Convenience: number of matches.
+    pub fn count(&self, db: &GraphDb, query: &Query) -> usize {
+        self.evaluate(db, query).len()
     }
 }
 
@@ -122,9 +118,7 @@ mod tests {
     #[test]
     fn builder_knobs_compose() {
         let db = fig1_db();
-        let engine = PrunedEngine::new(NestedLoopEngine)
-            .with_threads(4)
-            .with_config(SolverConfig::default());
+        let engine = PrunedEngine::new(NestedLoopEngine).with_config(SolverConfig::default());
         let q = query_x1();
         assert_eq!(engine.count(&db, &q), 2);
         assert_eq!(engine.name(), "pruned");

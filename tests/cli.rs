@@ -240,6 +240,49 @@ fn eval_prints_matches_with_and_without_pruning() {
     }
 }
 
+/// `eval --pruned` on a non-well-designed query may print rows the full
+/// database does not have (here the spurious row of
+/// `nonmonotone_counterexample_behaves_as_documented` in
+/// `soundness_props.rs`): it says so, once, on stderr.
+#[test]
+fn eval_pruned_warns_on_non_well_designed_queries() {
+    let dir = std::env::temp_dir().join("dualsim-cli-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = dir.join("nonmonotone.nt");
+    std::fs::write(
+        &db,
+        "<n0> <p1> <n1> .\n<n9> <p2> <n0> .\n<n1> <p0> <n1> .\n",
+    )
+    .unwrap();
+    let eval = |query: &str, pruned: bool| {
+        let mut args = vec!["eval", "--data", db.to_str().unwrap(), "--query-text", query];
+        if pruned {
+            args.push("--pruned");
+        }
+        let out = sparqlsim(&args);
+        assert!(out.status.success());
+        (
+            String::from_utf8(out.stdout).unwrap(),
+            String::from_utf8(out.stderr).unwrap(),
+        )
+    };
+    let warnings = |stderr: &str| stderr.lines().filter(|l| l.starts_with("warning:")).count();
+
+    let nonmonotone = "{ { ?v2 p1 ?v1 OPTIONAL { ?v0 p0 ?v0 } } { ?v0 p2 ?v2 } }";
+    let (stdout, stderr) = eval(nonmonotone, false);
+    assert!(stdout.contains("0 matches"), "{stdout}");
+    assert_eq!(warnings(&stderr), 0, "{stderr}");
+    let (stdout, stderr) = eval(nonmonotone, true);
+    assert!(stdout.contains("1 matches"), "the spurious row: {stdout}");
+    assert_eq!(warnings(&stderr), 1, "{stderr}");
+    assert!(stderr.contains("not well-designed"), "{stderr}");
+
+    // A well-designed query is evaluated on its pruning without comment.
+    let (stdout, stderr) = eval("{ ?v2 p1 ?v1 OPTIONAL { ?v1 p0 ?v0 } }", true);
+    assert!(stdout.contains("1 matches"), "{stdout}");
+    assert_eq!(warnings(&stderr), 0, "{stderr}");
+}
+
 #[test]
 fn rowwise_and_colwise_strategies_agree() {
     let db = write_db("strategies.nt");

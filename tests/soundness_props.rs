@@ -5,14 +5,17 @@
 //!   the solution of its query variable.
 //! * Pruning safety: evaluating on the pruned database returns exactly
 //!   the full-database result set, for both engines.
+//! * The pruned view is the pruning: it answers every question the join
+//!   engines ask exactly as a database built from the Sect. 5.2 triple set
+//!   does.
 //! * Algorithm agreement on BGPs: SOI solver ≡ Ma et al. ≡ HHK ≡ the
 //!   definitional oracle.
 
 use dualsim::core::baseline::{dual_simulation_hhk, dual_simulation_ma};
 use dualsim::core::check::is_largest_solution;
-use dualsim::core::{build_sois, prune, solve, solve_query, SolverConfig};
+use dualsim::core::{build_sois, prune, solve, solve_query, ChiBackend, SolverConfig};
 use dualsim::engine::{Engine, HashJoinEngine, NestedLoopEngine};
-use dualsim::graph::{GraphDb, GraphDbBuilder};
+use dualsim::graph::{GraphDb, GraphDbBuilder, GraphView, Triple};
 use dualsim::query::{Query, Term, TriplePattern};
 use proptest::prelude::*;
 
@@ -176,14 +179,79 @@ proptest! {
         prop_assert_eq!(full_rs, pruned_rs, "monotone query {} changed", q);
     }
 
+    /// The zero-copy view against the one oracle: a database built from
+    /// the triples Sect. 5.2 keeps, computed here from the definition (a
+    /// pattern edge of a non-empty branch admits the triple). The two agree
+    /// on membership, out/in rows, pair sets and per-label counts for every
+    /// label and node, and both engines return equal result sets on them —
+    /// for UNION, OPTIONAL, a label used by several patterns, constants
+    /// and `?v p ?v`, well-designed or not, under both χ backends.
+    #[test]
+    fn pruned_view_equals_the_materialized_pruning(db in arb_db(), q in arb_query()) {
+        for chi_backend in [ChiBackend::Dense, ChiBackend::Rle] {
+            let cfg = SolverConfig { chi_backend, ..SolverConfig::default() };
+            let branches = solve_query(&db, &q, &cfg);
+            let mut expected: Vec<Triple> = db
+                .triples()
+                .filter(|t| {
+                    branches.iter().any(|(soi, sol)| {
+                        !sol.is_certainly_empty()
+                            && soi.edges.iter().any(|e| {
+                                e.label == Some(t.p)
+                                    && sol.chi[e.src].get(t.s as usize)
+                                    && sol.chi[e.dst].get(t.o as usize)
+                            })
+                    })
+                })
+                .collect();
+            expected.sort_unstable();
+            let report = prune(&db, &q, &cfg);
+            prop_assert_eq!(&report.kept_triples(&db), &expected, "{:?} {}", chi_backend, q);
+            prop_assert_eq!(report.num_kept(), expected.len());
+
+            let oracle = db.with_triples(&expected).unwrap();
+            let view = report.pruned_db(&db);
+            let nodes = db.num_nodes() as u32;
+            for label in 0..db.num_labels() as u32 {
+                let (v, o) = (view.label(label), oracle.label(label));
+                prop_assert_eq!(v.num_triples(), o.num_triples(), "count of p{}", label);
+                let mut pairs: Vec<(u32, u32)> = v.pairs().collect();
+                pairs.sort_unstable();
+                prop_assert_eq!(&pairs, &o.pairs().collect::<Vec<_>>(), "pairs of p{}", label);
+                for a in 0..nodes {
+                    prop_assert_eq!(
+                        v.out_row(a).collect::<Vec<_>>(),
+                        o.out_row(a).collect::<Vec<_>>(),
+                        "out row of n{} under p{} for {}", a, label, q
+                    );
+                    prop_assert_eq!(
+                        v.in_row(a).collect::<Vec<_>>(),
+                        o.in_row(a).collect::<Vec<_>>(),
+                        "in row of n{} under p{} for {}", a, label, q
+                    );
+                    for b in 0..nodes {
+                        prop_assert_eq!(v.contains(a, b), o.contains(a, b));
+                    }
+                }
+            }
+            for engine in [&NestedLoopEngine as &dyn Engine, &HashJoinEngine] {
+                prop_assert_eq!(
+                    engine.evaluate(&view, &q),
+                    engine.evaluate(&oracle, &q),
+                    "{} on view and oracle for {}", engine.name(), q
+                );
+            }
+        }
+    }
+
     /// Required triples are always a subset of the kept triples.
     #[test]
     fn required_triples_survive_pruning(db in arb_db(), q in arb_query()) {
         let required = dualsim::engine::required_triples(&db, &q);
-        let report = prune(&db, &q, &SolverConfig::default());
+        let kept = prune(&db, &q, &SolverConfig::default()).kept_triples(&db);
         for t in &required {
             prop_assert!(
-                report.kept_triples.contains(t),
+                kept.contains(t),
                 "required triple {t:?} was pruned for {q}"
             );
         }
@@ -386,9 +454,9 @@ proptest! {
     fn pruning_is_idempotent(db in arb_db(), q in arb_query()) {
         let cfg = SolverConfig::default();
         let once = prune(&db, &q, &cfg);
-        let pruned = once.pruned_db(&db);
+        let pruned = once.pruned_db(&db).materialize();
         let twice = prune(&pruned, &q, &cfg);
-        prop_assert_eq!(once.kept_triples, twice.kept_triples, "{}", q);
+        prop_assert_eq!(once.kept_triples(&db), twice.kept_triples(&pruned), "{}", q);
     }
 
     /// All solver strategy configurations — including both fixpoint
