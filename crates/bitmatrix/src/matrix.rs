@@ -171,8 +171,10 @@ pub struct BitMatrix {
     dim: usize,
     /// CSR offsets: row `i` occupies `targets[offsets[i]..offsets[i+1]]`.
     offsets: Box<[u32]>,
-    /// Concatenated sorted column indices of all rows.
-    targets: Box<[u32]>,
+    /// Concatenated sorted column indices of all rows. A `Vec` so that
+    /// [`BitMatrix::apply_sorted`] can grow and shrink it in place; it
+    /// may hold slack capacity after a delete.
+    targets: Vec<u32>,
     /// Row summary: bit `i` set iff row `i` is non-empty. For a forward
     /// matrix `F^a` this is the vector `f^a` of Eq. (13).
     summary: BitVec,
@@ -226,12 +228,106 @@ impl BitMatrix {
                 summary.set(i);
             }
         }
+        dedup_targets.shrink_to_fit();
         BitMatrix {
             dim,
             offsets: offsets.into_boxed_slice(),
-            targets: dedup_targets.into_boxed_slice(),
+            targets: dedup_targets,
             summary,
         }
+    }
+
+    /// Merges a batch of entries into the matrix in place: sets
+    /// (`insert`) or clears (`!insert`) every `(row, col)` of `entries`,
+    /// which must be sorted ascending by `(row, col)`. Entries that are
+    /// already in the requested state, and repeats, are skipped; returns
+    /// the number of entries that changed.
+    ///
+    /// The CSR layout is kept exactly (every reader still gets plain
+    /// slices): each entry's slot is found by binary search in its row,
+    /// `targets` is shifted once for the whole batch — back to front for
+    /// inserts, front to back for deletes — and the `offsets` behind the
+    /// first touched row move by the running count. The cost is
+    /// therefore `O(|entries| log d + nnz + dim)` word moves at worst
+    /// (everything behind the first touched slot and row), not a rebuild
+    /// and not `O(|entries|)`.
+    ///
+    /// # Panics
+    /// Panics if `entries` is not sorted, if any index is `>= dim`, or
+    /// if the number of entries would overflow `u32`.
+    pub fn apply_sorted(&mut self, insert: bool, entries: &[(u32, u32)]) -> usize {
+        assert!(
+            entries.windows(2).all(|w| w[0] <= w[1]),
+            "entries must be sorted by (row, col)"
+        );
+        // Resolve every effective entry to its slot in `targets` first,
+        // against the unmodified arrays: slots ascend with the entries.
+        let mut edits: Vec<(usize, u32, u32)> = Vec::with_capacity(entries.len());
+        for (i, &(r, c)) in entries.iter().enumerate() {
+            assert!(
+                (r as usize) < self.dim && (c as usize) < self.dim,
+                "edge ({r},{c}) out of bounds {}",
+                self.dim
+            );
+            if i > 0 && entries[i - 1] == (r, c) {
+                continue;
+            }
+            let start = self.offsets[r as usize] as usize;
+            match (self.row(r as usize).binary_search(&c), insert) {
+                (Err(pos), true) | (Ok(pos), false) => edits.push((start + pos, r, c)),
+                _ => {}
+            }
+        }
+        let Some(&(first_slot, ..)) = edits.first() else {
+            return 0;
+        };
+        let old_len = self.targets.len();
+        if insert {
+            let new_len = old_len + edits.len();
+            assert!(new_len <= u32::MAX as usize, "too many matrix entries");
+            // Exact growth: a label must not double on its first insert.
+            self.targets.reserve_exact(edits.len());
+            self.targets.resize(new_len, 0);
+            let (mut src_end, mut dst_end) = (old_len, new_len);
+            for &(slot, _, c) in edits.iter().rev() {
+                let moved = src_end - slot;
+                self.targets.copy_within(slot..src_end, dst_end - moved);
+                dst_end -= moved + 1;
+                self.targets[dst_end] = c;
+                src_end = slot;
+            }
+            debug_assert_eq!(src_end, dst_end);
+        } else {
+            let mut dst = first_slot;
+            for (i, &(slot, ..)) in edits.iter().enumerate() {
+                let src_end = edits.get(i + 1).map_or(old_len, |next| next.0);
+                self.targets.copy_within(slot + 1..src_end, dst);
+                dst += src_end - (slot + 1);
+            }
+            self.targets.truncate(dst);
+        }
+        // `offsets[j]` counts the entries of rows `< j`: behind the i-th
+        // edit (and up to the next edit's row) it moves by `i + 1`.
+        for (i, &(_, r, _)) in edits.iter().enumerate() {
+            let delta = i as u32 + 1;
+            let next_row = edits.get(i + 1).map_or(self.dim, |next| next.1 as usize);
+            for offset in &mut self.offsets[r as usize + 1..=next_row] {
+                if insert {
+                    *offset += delta;
+                } else {
+                    *offset -= delta;
+                }
+            }
+        }
+        for &(_, r, _) in &edits {
+            let r = r as usize;
+            if insert {
+                self.summary.set(r);
+            } else if self.offsets[r] == self.offsets[r + 1] {
+                self.summary.clear(r);
+            }
+        }
+        edits.len()
     }
 
     /// Matrix dimension (rows == columns == data-graph node count).
@@ -444,9 +540,11 @@ impl BitMatrix {
 
     /// Heap bytes held by the CSR arrays and the summary vector — the
     /// per-label matrix memory the paper's §5.1 accounting reports.
+    /// Counts the allocation (`capacity`), not the entries: `targets`
+    /// keeps its slack after [`BitMatrix::apply_sorted`] deletes.
     pub fn heap_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<u32>()
-            + self.targets.len() * std::mem::size_of::<u32>()
+            + self.targets.capacity() * std::mem::size_of::<u32>()
             + self.summary.heap_bytes()
     }
 
@@ -643,6 +741,29 @@ mod tests {
         for i in 0..5 {
             assert_eq!(m.row(i), m2.row(i));
         }
+    }
+
+    #[test]
+    fn apply_sorted_merges_a_batch_in_place() {
+        // 0 -> {1, 2}, 1 -> {0}, 3 -> {3}
+        let mut m = sample();
+        // (0,1) is present and (4,4) repeats: two entries change.
+        assert_eq!(m.apply_sorted(true, &[(0, 0), (0, 1), (4, 4), (4, 4)]), 2);
+        assert_eq!(m.rows_segment(0, 5), &[0, 1, 2, 0, 3, 4]);
+        assert_eq!(m.row(4), &[4]);
+        assert_eq!(m.row_summary().to_indices(), vec![0, 1, 3, 4]);
+        // (2,2) is absent; row 1 empties and leaves the summary.
+        assert_eq!(m.apply_sorted(false, &[(0, 1), (1, 0), (2, 2)]), 2);
+        assert_eq!(m.rows_segment(0, 5), &[0, 2, 3, 4]);
+        assert_eq!(m.row(0), &[0, 2]);
+        assert_eq!(m.row_summary().to_indices(), vec![0, 3, 4]);
+        assert_eq!(m.nnz(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted")]
+    fn apply_sorted_rejects_unsorted_entries() {
+        sample().apply_sorted(true, &[(1, 1), (0, 0)]);
     }
 
     #[test]

@@ -33,6 +33,44 @@ fn arb_dense_bitvec() -> impl Strategy<Value = BitVec> {
     })
 }
 
+/// A script of [`BitMatrix::apply_sorted`] calls: per call a sign and raw
+/// entries `(row, col, k)`. An odd `k` redirects the entry to the
+/// `k`-th present one, so deletes (and inserts of present entries) hit
+/// far more often than uniform cells of a sparse matrix would.
+type EditScript = Vec<(bool, Vec<(u32, u32, usize)>)>;
+
+fn arb_edit_script() -> impl Strategy<Value = EditScript> {
+    let entry = (0u32..LEN as u32, 0u32..LEN as u32, any::<usize>());
+    proptest::collection::vec(
+        (any::<bool>(), proptest::collection::vec(entry, 0..40)),
+        1..8,
+    )
+}
+
+/// Every reader of `m` agrees with a fresh `from_edges` of `model`.
+fn assert_equals_rebuild(m: &BitMatrix, model: &std::collections::BTreeSet<(u32, u32)>) {
+    let edges: Vec<(u32, u32)> = model.iter().copied().collect();
+    let expected = BitMatrix::from_edges(m.dim(), &edges);
+    prop_assert_eq!(m.nnz(), expected.nnz());
+    prop_assert_eq!(m.nonempty_rows(), expected.nonempty_rows());
+    prop_assert_eq!(m.row_summary(), expected.row_summary());
+    for i in 0..m.dim() {
+        prop_assert_eq!(m.row(i), expected.row(i), "row {}", i);
+        prop_assert_eq!(m.row_len(i), expected.row_len(i));
+        let end = (i + 7).min(m.dim());
+        prop_assert_eq!(m.rows_segment(i, end), expected.rows_segment(i, end));
+    }
+    prop_assert_eq!(
+        m.rows_segment(0, m.dim()),
+        expected.rows_segment(0, m.dim())
+    );
+    prop_assert_eq!(m.entries().collect::<Vec<_>>(), edges);
+    let (t, expected_t) = (m.transpose(), expected.transpose());
+    for i in 0..m.dim() {
+        prop_assert_eq!(t.row(i), expected_t.row(i), "transposed row {}", i);
+    }
+}
+
 /// Reference implementation of the counter-initializing multiply: one
 /// increment per (set bit of `x`, row entry) pair.
 fn naive_count_into(m: &BitMatrix, x: &BitVec) -> (Vec<u32>, usize) {
@@ -214,6 +252,38 @@ proptest! {
     fn row_summary_matches_rows(m in arb_matrix()) {
         for i in 0..m.dim() {
             prop_assert_eq!(m.row_summary().get(i), !m.row(i).is_empty());
+        }
+    }
+
+    /// The oracle of the in-place mutation: after any sequence of
+    /// `apply_sorted` calls — with repeats, inserts of present entries
+    /// and deletes of absent ones — the matrix is indistinguishable from
+    /// `from_edges` of the resulting entry set, and each call reports
+    /// how many entries it changed.
+    #[test]
+    fn apply_sorted_sequences_equal_a_rebuild(m in arb_matrix(), script in arb_edit_script()) {
+        let mut m = m;
+        let mut model: std::collections::BTreeSet<(u32, u32)> = m.entries().collect();
+        for (insert, raw) in script {
+            let mut entries: Vec<(u32, u32)> = raw
+                .into_iter()
+                .map(|(r, c, k)| match model.iter().nth(k % model.len().max(1)) {
+                    Some(&present) if k % 2 == 1 => present,
+                    _ => (r, c),
+                })
+                .collect();
+            entries.sort_unstable();
+            let before = model.len();
+            for &e in &entries {
+                if insert {
+                    model.insert(e);
+                } else {
+                    model.remove(&e);
+                }
+            }
+            let changed = m.apply_sorted(insert, &entries);
+            prop_assert_eq!(changed, before.abs_diff(model.len()));
+            assert_equals_rebuild(&m, &model);
         }
     }
 

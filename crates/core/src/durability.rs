@@ -1459,26 +1459,15 @@ fn replay(
     };
     let mut sim =
         IncrementalDualSim::from_restored(soi, config, engine, solution, warm, snapshot_epoch);
-    let mut present: std::collections::BTreeSet<Triple> = db.triples().collect();
     let mut db = db;
     for record in tail {
-        for t in &record.batch {
-            if record.insert {
-                present.insert(*t);
-            } else {
-                present.remove(t);
-            }
-        }
-        let triples: Vec<Triple> = present.iter().copied().collect();
-        let db_after = db
-            .with_triples(&triples)
+        db.apply(record.insert, &record.batch)
             .map_err(|e| corrupt(format!("wal replay epoch {}: {e}", record.epoch)))?;
         if record.insert {
-            sim.apply_insertions(&db_after, &record.batch)?;
+            sim.apply_insertions(&db, &record.batch)?;
         } else {
-            sim.apply_deletions(&db_after, &record.batch)?;
+            sim.apply_deletions(&db, &record.batch)?;
         }
-        db = db_after;
     }
     let epoch = sim.epoch();
     debug_assert_eq!(epoch, snapshot_epoch + tail.len() as u64);

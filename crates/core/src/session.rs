@@ -42,9 +42,9 @@
 use crate::durability::DurabilityOptions;
 use crate::errors::SessionError;
 use crate::failpoints;
-use crate::incremental::{in_vocabulary, IncrementalDualSim};
+use crate::incremental::IncrementalDualSim;
 use crate::{build_sois, MaintainError, Soi, Solution, SolveStats, SolverConfig};
-use dualsim_graph::{GraphDb, Triple};
+use dualsim_graph::{GraphDb, GraphError, Triple};
 use dualsim_query::parse;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
@@ -303,12 +303,13 @@ struct RegisteredQuery {
     /// may hold fewer (heal rebuilds the full set from `text`).
     branches: Vec<IncrementalDualSim>,
     health: QueryHealth,
-    /// Triple set of the graph this query last fully reflected; the
-    /// replay base for healing. `None` forces the next due heal to a
+    /// Every effective batch the session committed since this query
+    /// degraded, oldest first. The graph the query still reflects — its
+    /// replay base — is the session graph with these batches undone, so
+    /// no copy of it is kept. `None` once replay is forfeited (backlog
+    /// overflow, inconsistent undo, quarantine): the next due heal is a
     /// cold rebuild.
-    base: Option<BTreeSet<Triple>>,
-    /// Missed effective batches since degradation, oldest first.
-    backlog: VecDeque<(bool, Vec<Triple>)>,
+    backlog: Option<VecDeque<(bool, Vec<Triple>)>>,
 }
 
 impl RegisteredQuery {
@@ -363,9 +364,6 @@ pub struct SessionRecovery {
 #[derive(Debug)]
 pub struct QuerySession {
     db: GraphDb,
-    /// The current triple set (the session's own dedup/no-op filter and
-    /// the healing replay bases are set operations over it).
-    present: BTreeSet<Triple>,
     queries: BTreeMap<String, RegisteredQuery>,
     /// Committed shared batches.
     epoch: u64,
@@ -376,10 +374,8 @@ pub struct QuerySession {
 impl QuerySession {
     /// Opens a session over `db` with no registered queries.
     pub fn new(db: GraphDb, opts: SessionOptions) -> Self {
-        let present = db.triples().collect();
         QuerySession {
             db,
-            present,
             queries: BTreeMap::new(),
             epoch: 0,
             opts,
@@ -418,8 +414,7 @@ impl QuerySession {
                 config,
                 branches,
                 health: QueryHealth::Healthy,
-                base: None,
-                backlog: VecDeque::new(),
+                backlog: None,
             },
         );
         Ok(n)
@@ -440,13 +435,14 @@ impl QuerySession {
     }
 
     /// Applies one signed batch to the whole registry: validates and
-    /// dedups **once**, commits the session graph, and fans the
-    /// effective batch out to every registered query in name order —
-    /// healthy queries apply it under their own epoch/journal, degraded
-    /// queries backlog it or run a due healing attempt, quarantined
-    /// queries keep serving stale. Per-query failures never surface
-    /// here: they degrade only the affected query and are reported in
-    /// the returned [`BatchReport`].
+    /// dedups **once**, merges it into the session graph in place
+    /// ([`GraphDb::apply`]: the labels of the batch, not the graph), and
+    /// fans the effective batch out to every registered query in name
+    /// order — healthy queries apply it under their own epoch/journal,
+    /// degraded queries backlog it or run a due healing attempt,
+    /// quarantined queries keep serving stale. Per-query failures never
+    /// surface here: they degrade only the affected query and are
+    /// reported in the returned [`BatchReport`].
     ///
     /// # Errors
     ///
@@ -458,29 +454,22 @@ impl QuerySession {
         insert: bool,
         triples: &[Triple],
     ) -> Result<BatchReport, SessionError> {
-        // One shared validation + dedup + no-op filter for all queries.
-        for t in triples {
-            if !in_vocabulary(&self.db, t) {
-                return Err(SessionError::Batch {
-                    error: MaintainError::OutOfVocabulary { triple: *t },
-                });
-            }
-        }
+        // One shared validation + dedup + no-op filter for all queries:
+        // the graph itself answers presence and returns what changed.
+        let batch = self.db.apply(insert, triples).map_err(|e| match e {
+            GraphError::ForeignTriple { triple, .. } => SessionError::Batch {
+                error: MaintainError::OutOfVocabulary { triple },
+            },
+            other => SessionError::Batch {
+                error: MaintainError::Corrupt {
+                    detail: other.to_string(),
+                },
+            },
+        })?;
         self.stats.triples_validated += triples.len();
-        let mut seen = BTreeSet::new();
-        let mut batch = Vec::with_capacity(triples.len());
-        let mut noops = 0usize;
-        for t in triples {
-            if !seen.insert(*t) {
-                continue;
-            }
-            if insert == self.present.contains(t) {
-                noops += 1;
-                continue;
-            }
-            batch.push(*t);
-        }
-        let deduped = triples.len() - seen.len();
+        let distinct = triples.iter().collect::<BTreeSet<_>>().len();
+        let deduped = triples.len() - distinct;
+        let noops = distinct - batch.len();
         self.stats.duplicates_dropped += deduped;
         self.stats.noops_dropped += noops;
         if batch.is_empty() {
@@ -496,23 +485,6 @@ impl QuerySession {
                 outcomes: BTreeMap::new(),
             });
         }
-
-        let mut next_present = self.present.clone();
-        for t in &batch {
-            if insert {
-                next_present.insert(*t);
-            } else {
-                next_present.remove(t);
-            }
-        }
-        let next_triples: Vec<Triple> = next_present.iter().copied().collect();
-        let db_after = self.db.with_triples(&next_triples).map_err(|e| {
-            SessionError::Batch {
-                error: MaintainError::Corrupt {
-                    detail: format!("validated batch failed graph rebuild: {e}"),
-                },
-            }
-        })?;
         let target_epoch = self.epoch + 1;
 
         let mut outcomes = BTreeMap::new();
@@ -520,9 +492,7 @@ impl QuerySession {
             let outcome = match &q.health {
                 QueryHealth::Healthy => fan_healthy(
                     q,
-                    &self.present,
-                    &self.db,
-                    &db_after,
+                    &mut self.db,
                     insert,
                     &batch,
                     target_epoch,
@@ -534,7 +504,7 @@ impl QuerySession {
                 } if target_epoch >= *next_attempt_epoch => heal_due(
                     q,
                     name,
-                    &db_after,
+                    &self.db,
                     insert,
                     &batch,
                     target_epoch,
@@ -554,8 +524,6 @@ impl QuerySession {
             outcomes.insert(name.clone(), outcome);
         }
 
-        self.db = db_after;
-        self.present = next_present;
         self.epoch = target_epoch;
         self.stats.batches += 1;
         Ok(BatchReport {
@@ -587,10 +555,9 @@ impl QuerySession {
         if q.health.is_healthy() {
             return Ok(());
         }
-        if q.base.is_some() {
+        if q.backlog.is_some() {
             if replay_backlog(q, &self.db, &mut self.stats) {
                 q.health = QueryHealth::Healthy;
-                q.base = None;
                 self.stats.replay_heals += 1;
                 return Ok(());
             }
@@ -760,8 +727,7 @@ impl QuerySession {
                     config,
                     branches: set.sims,
                     health,
-                    base: None,
-                    backlog: VecDeque::new(),
+                    backlog: None,
                 },
             );
             reports.insert(name, report);
@@ -952,17 +918,18 @@ fn build_branches(
 }
 
 /// The isolation workhorse: applies one effective batch to every branch
-/// of a query. If a branch fails *rolled back*, the branches that had
-/// already committed this batch are undone with the inverse batch, so
-/// the whole query lands back on its pre-batch state. A branch error
-/// whose epoch still advanced (the documented post-commit snapshot
-/// failure) counts as committed. Returns `Ok(warm)` or the error plus
-/// whether the undo itself failed (leaving branches inconsistent — a
-/// replay can no longer fix that query, only a rebuild can).
+/// of a query; `db` already holds the batch. If a branch fails *rolled
+/// back*, the branches that had already committed this batch are undone
+/// with the inverse batch, so the whole query lands back on its
+/// pre-batch state — for that undo alone `db` is flipped to the
+/// pre-batch graph and back. A branch error whose epoch still advanced
+/// (the documented post-commit snapshot failure) counts as committed.
+/// Returns `Ok(warm)` or the error plus whether the undo itself failed
+/// (leaving branches inconsistent — a replay can no longer fix that
+/// query, only a rebuild can).
 fn fan_branches(
     q: &mut RegisteredQuery,
-    db_before: &GraphDb,
-    db_after: &GraphDb,
+    db: &mut GraphDb,
     insert: bool,
     batch: &[Triple],
     stats: &mut SessionStats,
@@ -973,9 +940,9 @@ fn fan_branches(
     for (b, pre) in q.branches.iter_mut().zip(&pre_epochs) {
         stats.fanout_applications += 1;
         let res = if insert {
-            b.apply_insertions(db_after, batch).map(|_| ())
+            b.apply_insertions(db, batch).map(|_| ())
         } else {
-            b.apply_deletions(db_after, batch).map(|_| ())
+            b.apply_deletions(db, batch).map(|_| ())
         };
         match res {
             Ok(()) => warm &= b.last_update_was_warm(),
@@ -996,17 +963,28 @@ fn fan_branches(
     };
     // Undo the sibling branches that already committed this batch, so
     // every branch of the query serves the same (pre-batch) state.
+    let committed = |b: &IncrementalDualSim, pre: &u64| b.epoch() > *pre;
+    let mut siblings = q.branches.iter().zip(&pre_epochs);
+    if !siblings.any(|(b, pre)| committed(b, pre)) {
+        return Err((error, false));
+    }
+    // The inverse of an effective batch is effective and in vocabulary,
+    // so the two flips cannot fail; should one, the branches stay as
+    // they are and only a rebuild can heal the query.
+    if db.apply(!insert, batch).is_err() {
+        return Err((error, true));
+    }
     let mut undo_failed = false;
     for (b, pre) in q.branches.iter_mut().zip(&pre_epochs) {
-        if b.epoch() <= *pre {
+        if !committed(b, pre) {
             continue;
         }
         stats.fanout_applications += 1;
         let undo_pre = b.epoch();
         let res = if insert {
-            b.apply_deletions(db_before, batch).map(|_| ())
+            b.apply_deletions(db, batch).map(|_| ())
         } else {
-            b.apply_insertions(db_before, batch).map(|_| ())
+            b.apply_insertions(db, batch).map(|_| ())
         };
         match res {
             Ok(()) => {}
@@ -1014,20 +992,16 @@ fn fan_branches(
             Err(_) => undo_failed = true,
         }
     }
+    undo_failed |= db.apply(insert, batch).is_err();
     Err((error, undo_failed))
 }
 
 /// A healthy query's share of the fan-out: the session failpoint, then
 /// the batch through every branch, with the health transition on
-/// failure. `pre_present` is the session's pre-batch triple set — the
-/// graph a cleanly rolled-back query still reflects, and therefore the
-/// replay base should the batch fail.
-#[allow(clippy::too_many_arguments)]
+/// failure.
 fn fan_healthy(
     q: &mut RegisteredQuery,
-    pre_present: &BTreeSet<Triple>,
-    db_before: &GraphDb,
-    db_after: &GraphDb,
+    db: &mut GraphDb,
     insert: bool,
     batch: &[Triple],
     target_epoch: u64,
@@ -1039,7 +1013,7 @@ fn fan_healthy(
     // so the query degrades without even a rollback.
     let fanned = failpoints::check("session-fanout")
         .map_err(|e| (e, false))
-        .and_then(|()| fan_branches(q, db_before, db_after, insert, batch, stats));
+        .and_then(|()| fan_branches(q, db, insert, batch, stats));
     match fanned {
         Ok(warm) => {
             let post = q.candidates();
@@ -1051,17 +1025,20 @@ fn fan_healthy(
         }
         Err((error, undo_failed)) => {
             stats.failures += 1;
-            degrade(
-                q,
-                pre_present,
-                insert,
-                batch,
-                target_epoch,
-                undo_failed,
-                opts,
-                stats,
-                &error,
-            );
+            let stale_since = target_epoch - 1;
+            if opts.auto_heal {
+                // A cleanly rolled-back query still reflects the
+                // pre-batch graph: the failed batch opens its backlog.
+                // An inconsistent undo forfeits replay.
+                q.backlog = (!undo_failed).then(|| VecDeque::from([(insert, batch.to_vec())]));
+                q.health = QueryHealth::Degraded {
+                    stale_since_epoch: stale_since,
+                    attempts: 0,
+                    next_attempt_epoch: target_epoch + backoff(opts.backoff_base, 1),
+                };
+            } else {
+                quarantine_at(q, stats, stale_since, error.to_string());
+            }
             QueryOutcome::Failed {
                 error,
                 health: q.health.clone(),
@@ -1070,60 +1047,22 @@ fn fan_healthy(
     }
 }
 
-/// The `Healthy → Degraded` (or `→ Quarantined`) transition after a
-/// failed batch at `target_epoch`.
-#[allow(clippy::too_many_arguments)]
-fn degrade(
-    q: &mut RegisteredQuery,
-    pre_present: &BTreeSet<Triple>,
-    insert: bool,
-    batch: &[Triple],
-    target_epoch: u64,
-    undo_failed: bool,
-    opts: &SessionOptions,
-    stats: &mut SessionStats,
-    error: &MaintainError,
-) {
-    let stale_since = target_epoch - 1;
-    if !opts.auto_heal {
-        quarantine_at(q, stats, stale_since, error.to_string());
-        return;
-    }
-    // The replay base is the graph the query still reflects (pre-batch);
-    // an inconsistent undo forfeits replay — only a rebuild can heal.
-    if undo_failed {
-        q.base = None;
-        q.backlog.clear();
-    } else {
-        q.base = Some(pre_present.clone());
-        q.backlog.clear();
-        q.backlog.push_back((insert, batch.to_vec()));
-    }
-    q.health = QueryHealth::Degraded {
-        stale_since_epoch: stale_since,
-        attempts: 0,
-        next_attempt_epoch: target_epoch + backoff(opts.backoff_base, 1),
-    };
-}
-
 /// Appends a missed batch to a degraded query's backlog; past the bound
-/// the backlog (and replay base) are dropped — the next due heal goes
-/// straight to a rebuild.
+/// replay is forfeited — the next due heal goes straight to a rebuild.
 fn push_backlog(q: &mut RegisteredQuery, insert: bool, batch: &[Triple], max_backlog: usize) {
-    if q.base.is_none() {
+    let Some(backlog) = &mut q.backlog else {
         return;
-    }
-    q.backlog.push_back((insert, batch.to_vec()));
-    if q.backlog.len() > max_backlog.max(1) {
-        q.base = None;
-        q.backlog.clear();
+    };
+    backlog.push_back((insert, batch.to_vec()));
+    if backlog.len() > max_backlog.max(1) {
+        q.backlog = None;
     }
 }
 
 /// A due healing attempt during a batch: the current batch joins the
 /// backlog, then the ladder runs — backlog replay while retry attempts
-/// remain and the replay base is intact, cold rebuild once they are
-/// exhausted (or the base was lost), quarantine only if the rebuild
+/// remain and the backlog is intact, cold rebuild once they are
+/// exhausted (or replay was forfeited), quarantine only if the rebuild
 /// itself fails.
 #[allow(clippy::too_many_arguments)]
 fn heal_due(
@@ -1149,10 +1088,9 @@ fn heal_due(
     let pre = q.candidates();
     push_backlog(q, insert, batch, opts.max_backlog);
     let attempt = attempts.saturating_add(1);
-    if attempt <= opts.max_retries && q.base.is_some() {
+    if attempt <= opts.max_retries && q.backlog.is_some() {
         if replay_backlog(q, db_after, stats) {
             q.health = QueryHealth::Healthy;
-            q.base = None;
             stats.replay_heals += 1;
             let post = q.candidates();
             return QueryOutcome::Healed {
@@ -1162,7 +1100,7 @@ fn heal_due(
             };
         }
         stats.failed_retries += 1;
-        if q.base.is_some() {
+        if q.backlog.is_some() {
             // The replay rolled back cleanly: stay degraded, back off
             // further, and keep serving the stale set.
             q.health = QueryHealth::Degraded {
@@ -1175,7 +1113,7 @@ fn heal_due(
                 health: q.health.clone(),
             };
         }
-        // Inconsistent undo during the replay forfeited the base: fall
+        // Inconsistent undo during the replay forfeited it: fall
         // through to the rebuild rung immediately.
     }
     // Escalation: cold rebuild against the post-batch graph.
@@ -1200,46 +1138,39 @@ fn heal_due(
 }
 
 /// Replays a degraded query's backlog through the ordinary maintenance
-/// paths, reconstructing each intermediate graph from the replay base —
-/// so a successfully replayed query is bit-identical (χ *and* logical
-/// stats) to one that never failed. Committed prefix batches are popped
-/// as they land; returns `true` iff the backlog drained fully.
-fn replay_backlog(q: &mut RegisteredQuery, vocab_db: &GraphDb, stats: &mut SessionStats) -> bool {
-    let Some(mut cur) = q.base.clone() else {
-        return q.backlog.is_empty();
-    };
-    let cur_vec: Vec<Triple> = cur.iter().copied().collect();
-    let Ok(mut cur_db) = vocab_db.with_triples(&cur_vec) else {
-        q.base = None;
-        q.backlog.clear();
+/// paths — so a successfully replayed query is bit-identical (χ *and*
+/// logical stats) to one that never failed. `current` is the session
+/// graph, which holds every backlog batch: one working copy of it is
+/// rewound to the replay base by undoing the backlog newest first, then
+/// takes each batch again in front of the engines. Batches leave the
+/// backlog as they land. Returns `true` iff it drained fully (the
+/// backlog is then gone); on `false` the rest stays for the next
+/// attempt, unless an inconsistent undo forfeited replay.
+fn replay_backlog(q: &mut RegisteredQuery, current: &GraphDb, stats: &mut SessionStats) -> bool {
+    let Some(mut backlog) = q.backlog.take() else {
         return false;
     };
-    while let Some((insert, batch)) = q.backlog.front().cloned() {
-        let mut next = cur.clone();
-        for t in &batch {
-            if insert {
-                next.insert(*t);
-            } else {
-                next.remove(t);
-            }
-        }
-        let next_vec: Vec<Triple> = next.iter().copied().collect();
-        let Ok(next_db) = vocab_db.with_triples(&next_vec) else {
-            q.base = None;
-            q.backlog.clear();
+    let mut work = current.clone();
+    // Backlog batches are effective and in vocabulary, so `apply` cannot
+    // reject them; should it, replay is forfeited.
+    let rewound = backlog
+        .iter()
+        .rev()
+        .all(|(insert, batch)| work.apply(!insert, batch).is_ok());
+    if !rewound {
+        return false;
+    }
+    while let Some((insert, batch)) = backlog.front() {
+        if work.apply(*insert, batch).is_err() {
             return false;
-        };
-        match fan_branches(q, &cur_db, &next_db, insert, &batch, stats) {
+        }
+        match fan_branches(q, &mut work, *insert, batch, stats) {
             Ok(_) => {
-                q.backlog.pop_front();
-                cur = next;
-                cur_db = next_db;
-                q.base = Some(cur.clone());
+                backlog.pop_front();
             }
             Err((_, undo_failed)) => {
-                if undo_failed {
-                    q.base = None;
-                    q.backlog.clear();
+                if !undo_failed {
+                    q.backlog = Some(backlog);
                 }
                 return false;
             }
@@ -1268,8 +1199,7 @@ fn rebuild(
         })?;
     q.branches = branches;
     q.health = QueryHealth::Healthy;
-    q.base = None;
-    q.backlog.clear();
+    q.backlog = None;
     Ok(())
 }
 
@@ -1300,8 +1230,7 @@ fn quarantine_at(
         stale_since_epoch,
         detail,
     };
-    q.base = None;
-    q.backlog.clear();
+    q.backlog = None;
 }
 
 /// `true` iff two databases (sharing a vocabulary lineage) hold the
@@ -1682,6 +1611,57 @@ mod tests {
             }
         ));
         assert_eq!(s.candidates("only").unwrap(), cold_candidates(&base, CHAIN));
+    }
+
+    #[test]
+    fn a_late_branch_kill_undoes_its_siblings_on_the_pre_batch_graph() {
+        failpoints::disarm_all();
+        let base = db();
+        let mut s = session(SessionOptions::default());
+        s.register("union", UNION, cfg()).unwrap();
+
+        // Both branches have work; the kill fires in the second one,
+        // after the first committed the batch.
+        let batch = [t(&base, "a", "p", "b"), t(&base, "b", "q", "c")];
+        failpoints::arm("pre-drain", 1);
+        let r = s.apply_batch(false, &batch).unwrap();
+        failpoints::disarm_all();
+        assert!(matches!(
+            r.outcomes["union"],
+            QueryOutcome::Failed {
+                health: QueryHealth::Degraded { .. },
+                ..
+            }
+        ));
+        assert_eq!(
+            s.stats().fanout_applications,
+            3,
+            "two applications and one sibling undo"
+        );
+        // The whole query is back on its pre-batch match set, while the
+        // session graph was flipped back and holds the batch.
+        assert_eq!(
+            s.candidates("union").unwrap(),
+            cold_candidates(&base, UNION)
+        );
+        let kept: Vec<Triple> = base.triples().filter(|x| !batch.contains(x)).collect();
+        assert_eq!(s.db().triples().collect::<Vec<_>>(), kept);
+
+        // The due replay rewinds a copy of the session graph over the
+        // backlog and brings both branches up to date.
+        let r2 = s.apply_batch(true, &batch[..1]).unwrap();
+        assert!(matches!(
+            r2.outcomes["union"],
+            QueryOutcome::Healed {
+                via: HealPath::Replay,
+                ..
+            }
+        ));
+        assert_eq!(
+            s.candidates("union").unwrap(),
+            cold_candidates(s.db(), UNION)
+        );
+        assert_eq!(s.db().num_triples(), base.num_triples() - 1);
     }
 
     #[test]

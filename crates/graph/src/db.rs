@@ -3,6 +3,7 @@
 
 use crate::{GraphError, LabelId, LabelPairs, NodeId, NodeKind, Vocabulary};
 use dualsim_bitmatrix::{BitMatrix, BitVec};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A dictionary-encoded RDF triple `(s, p, o)`.
@@ -42,16 +43,20 @@ struct LabelData {
     backward: BitMatrix,
 }
 
-/// An immutable graph database `DB = (O_DB, Σ, E_DB)` (Def. 1).
+/// A graph database `DB = (O_DB, Σ, E_DB)` (Def. 1) over a fixed
+/// vocabulary.
 ///
 /// For every label the database stores both the forward adjacency matrix
 /// `F^a` and the backward adjacency matrix `B^a`; the row summaries of
 /// those matrices are the `f^a` / `b^a` vectors used for initialization
-/// (Eq. (13)). Databases derived from this one (update-stream snapshots
-/// and materialized prunings built by [`GraphDb::with_triples`]) share the
-/// same [`Vocabulary`], so node identifiers are stable across original
-/// and derived instances. Per-query prunings are normally not derived
-/// databases at all but [`crate::PrunedView`]s of this one.
+/// (Eq. (13)). The triple set changes through one mutation,
+/// [`GraphDb::apply`], which merges a signed batch into the matrices of
+/// the labels it names; `O_DB` and `Σ` never change. Databases derived
+/// from this one (materialized prunings built by
+/// [`GraphDb::with_triples`]) share the same [`Vocabulary`], so node
+/// identifiers are stable across original and derived instances.
+/// Per-query prunings are normally not derived databases at all but
+/// [`crate::PrunedView`]s of this one.
 #[derive(Debug, Clone)]
 pub struct GraphDb {
     vocab: Arc<Vocabulary>,
@@ -153,9 +158,11 @@ impl GraphDb {
         self.labels[label as usize].backward.row(v as usize)
     }
 
-    /// Membership test for a triple.
+    /// Membership test for a triple (`false` for one outside the
+    /// vocabulary).
     pub fn contains_triple(&self, t: Triple) -> bool {
         (t.p as usize) < self.labels.len()
+            && (t.s as usize) < self.num_nodes()
             && self.labels[t.p as usize]
                 .forward
                 .get(t.s as usize, t.o as usize)
@@ -218,10 +225,21 @@ impl GraphDb {
     /// (the historical behavior in release builds) made corrupt update
     /// streams vanish instead of surfacing.
     pub fn with_triples(&self, triples: &[Triple]) -> Result<GraphDb, GraphError> {
+        self.check_vocabulary(triples)?;
         let mut per_label: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.vocab.num_labels()];
+        for t in triples {
+            per_label[t.p as usize].push((t.s, t.o));
+        }
+        Ok(GraphDb::build(Arc::clone(&self.vocab), per_label))
+    }
+
+    /// Rejects the first triple of `batch` that mentions a label or node
+    /// outside the vocabulary, with its 1-based position.
+    fn check_vocabulary(&self, batch: &[Triple]) -> Result<(), GraphError> {
         let n = self.vocab.num_nodes() as u32;
-        for (idx, t) in triples.iter().enumerate() {
-            if (t.p as usize) >= per_label.len() || t.s >= n || t.o >= n {
+        let labels = self.vocab.num_labels();
+        for (idx, t) in batch.iter().enumerate() {
+            if (t.p as usize) >= labels || t.s >= n || t.o >= n {
                 let node = |id: u32| {
                     if id < n {
                         self.vocab.node_name(id).to_owned()
@@ -229,7 +247,7 @@ impl GraphDb {
                         format!("#{id}")
                     }
                 };
-                let label = if (t.p as usize) < per_label.len() {
+                let label = if (t.p as usize) < labels {
                     self.vocab.label_name(t.p).to_owned()
                 } else {
                     format!("#{}", t.p)
@@ -242,9 +260,50 @@ impl GraphDb {
                     index: idx + 1,
                 });
             }
-            per_label[t.p as usize].push((t.s, t.o));
         }
-        Ok(GraphDb::build(Arc::clone(&self.vocab), per_label))
+        Ok(())
+    }
+
+    /// Inserts (`insert`) or deletes (`!insert`) the triples of `batch`
+    /// in place and returns the *effective* batch: the triples that
+    /// actually changed the database, in first-occurrence order, with
+    /// repeats and no-ops (inserts of present, deletes of absent
+    /// triples) dropped. Applying the effective batch with the opposite
+    /// sign restores the database exactly.
+    ///
+    /// The whole batch is validated first: a triple outside the
+    /// vocabulary is rejected with [`GraphError::ForeignTriple`] (same
+    /// 1-based index as [`GraphDb::with_triples`]) and nothing is
+    /// touched. Only the labels the effective batch names are written:
+    /// per label the pairs are merged into `F^a` and, transposed, into
+    /// `B^a` ([`BitMatrix::apply_sorted`]), so a batch costs
+    /// `O(Σ_{touched a} (nnz_a + |O_DB|))` word moves at worst — its
+    /// labels' arrays, not the `|Σ| × |O_DB|` rebuild of
+    /// [`GraphDb::with_triples`], and not `O(|batch|)` either.
+    pub fn apply(&mut self, insert: bool, batch: &[Triple]) -> Result<Vec<Triple>, GraphError> {
+        self.check_vocabulary(batch)?;
+        let mut seen = BTreeSet::new();
+        let effective: Vec<Triple> = batch
+            .iter()
+            .copied()
+            .filter(|t| seen.insert(*t) && self.contains_triple(*t) != insert)
+            .collect();
+        let mut by_label = effective.clone();
+        by_label.sort_unstable_by_key(|t| (t.p, t.s, t.o));
+        for group in by_label.chunk_by(|a, b| a.p == b.p) {
+            let forward: Vec<(u32, u32)> = group.iter().map(|t| (t.s, t.o)).collect();
+            let mut backward: Vec<(u32, u32)> = group.iter().map(|t| (t.o, t.s)).collect();
+            backward.sort_unstable();
+            let data = &mut self.labels[group[0].p as usize];
+            data.forward.apply_sorted(insert, &forward);
+            data.backward.apply_sorted(insert, &backward);
+        }
+        if insert {
+            self.n_triples += effective.len();
+        } else {
+            self.n_triples -= effective.len();
+        }
+        Ok(effective)
     }
 }
 
@@ -445,6 +504,42 @@ mod tests {
         let directed = db.label_id("directed").unwrap();
         let population = db.label_id("population").unwrap();
         assert!(db.label_memory(directed) >= db.label_memory(population) - 16);
+    }
+
+    #[test]
+    fn apply_returns_the_effective_batch_in_first_occurrence_order() {
+        let mut db = movie_db();
+        let all: Vec<Triple> = db.triples().collect();
+        let (a, b) = (all[3], all[0]);
+        let absent = Triple::new(a.o, a.p, a.s);
+        assert_eq!(db.apply(false, &[a, absent, b, a]).unwrap(), vec![a, b]);
+        assert_eq!(db.num_triples(), all.len() - 2);
+        assert!(!db.contains_triple(a) && !db.contains_triple(b));
+        assert_eq!(db.apply(true, &[b, all[1], a]).unwrap(), vec![b, a]);
+        assert_eq!(db.triples().collect::<Vec<_>>(), all);
+    }
+
+    #[test]
+    fn delete_then_reinsert_leaves_the_memory_footprint_unchanged() {
+        let mut db = movie_db();
+        let before = db.memory_footprint();
+        let directed = db.label_id("directed").unwrap();
+        let batch: Vec<Triple> = db.triples().filter(|t| t.p == directed).collect();
+        let removed = db.apply(false, &batch).unwrap();
+        assert_eq!(removed, batch);
+        assert_eq!(
+            db.memory_footprint(),
+            before,
+            "a delete keeps the allocation, and the accounting says so"
+        );
+        db.apply(true, &removed).unwrap();
+        assert_eq!(db.memory_footprint(), before);
+        // A new triple grows its label by that entry (forward and
+        // backward), not by doubling the arrays.
+        let fresh = Triple::new(batch[0].o, directed, batch[0].s);
+        db.apply(true, &[fresh]).unwrap();
+        let grown = db.memory_footprint();
+        assert!(before < grown && grown <= before + 2 * std::mem::size_of::<u32>());
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Property tests for the graph substrate: adjacency-map duality,
-//! N-Triples round trips, and pruning-view invariants.
+//! N-Triples round trips, the in-place mutation against a rebuild, and
+//! pruning-view invariants.
 
-use crate::{parse_ntriples, write_ntriples, GraphDb, GraphDbBuilder, Triple};
+use crate::{parse_ntriples, write_ntriples, GraphDb, GraphDbBuilder, GraphError, Triple};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn arb_db() -> impl Strategy<Value = GraphDb> {
     proptest::collection::vec((0u8..15, 0u8..4, 0u8..15), 0..60).prop_map(|triples| {
@@ -15,7 +17,101 @@ fn arb_db() -> impl Strategy<Value = GraphDb> {
     })
 }
 
+/// Every reader of `db` agrees with `with_triples` of `model`.
+fn assert_equals_rebuild(db: &GraphDb, model: &BTreeSet<Triple>) {
+    let triples: Vec<Triple> = model.iter().copied().collect();
+    let expected = db.with_triples(&triples).unwrap();
+    prop_assert_eq!(db.num_triples(), expected.num_triples());
+    prop_assert_eq!(
+        db.triples().collect::<Vec<_>>(),
+        expected.triples().collect::<Vec<_>>()
+    );
+    for p in 0..db.num_labels() as u32 {
+        prop_assert_eq!(db.f_summary(p), expected.f_summary(p));
+        prop_assert_eq!(db.b_summary(p), expected.b_summary(p));
+        prop_assert_eq!(db.label_stats(p), expected.label_stats(p));
+        prop_assert_eq!(db.num_label_triples(p), expected.num_label_triples(p));
+        prop_assert_eq!(
+            db.label_pairs(p).collect::<Vec<_>>(),
+            expected.label_pairs(p).collect::<Vec<_>>()
+        );
+        for v in 0..db.num_nodes() as u32 {
+            prop_assert_eq!(db.out_neighbors(v, p), expected.out_neighbors(v, p));
+            prop_assert_eq!(db.in_neighbors(v, p), expected.in_neighbors(v, p));
+            for o in 0..db.num_nodes() as u32 {
+                let t = Triple::new(v, p, o);
+                prop_assert_eq!(db.contains_triple(t), model.contains(&t));
+            }
+        }
+    }
+}
+
 proptest! {
+    /// The oracle of the in-place mutation: after any sequence of
+    /// `apply` calls — with repeats and no-ops in the batches — the
+    /// store is indistinguishable from `with_triples` of the resulting
+    /// set, each call returns exactly the set difference it made, and a
+    /// batch holding a foreign triple is rejected whole.
+    #[test]
+    fn apply_sequences_equal_a_rebuild(
+        db in arb_db(),
+        script in proptest::collection::vec(
+            (any::<bool>(), proptest::collection::vec((0u32..15, 0u32..4, 0u32..15), 0..25)),
+            1..8,
+        ),
+        foreign_step in 0usize..8,
+        foreign_kind in 0usize..3,
+    ) {
+        if db.num_triples() == 0 {
+            return Ok(());
+        }
+        let (n, labels) = (db.num_nodes() as u32, db.num_labels() as u32);
+        let mut db = db;
+        let mut model: BTreeSet<Triple> = db.triples().collect();
+        let foreign_step = foreign_step % script.len();
+        for (step, (insert, raw)) in script.into_iter().enumerate() {
+            let mut batch: Vec<Triple> = raw
+                .into_iter()
+                .map(|(s, p, o)| Triple::new(s % n, p % labels, o % n))
+                .collect();
+            // Repeat the head so that every non-empty batch has a duplicate.
+            batch.extend(batch.first().copied());
+
+            if step == foreign_step {
+                let foreign = [
+                    Triple::new(n, 0, 0),
+                    Triple::new(0, labels, 0),
+                    Triple::new(0, 0, n + 3),
+                ][foreign_kind];
+                let at = batch.len() / 2;
+                let mut poisoned = batch.clone();
+                poisoned.insert(at, foreign);
+                match db.apply(insert, &poisoned) {
+                    Err(GraphError::ForeignTriple { triple, index, .. }) => {
+                        prop_assert_eq!(triple, foreign);
+                        prop_assert_eq!(index, at + 1);
+                    }
+                    other => prop_assert!(false, "expected ForeignTriple, got {:?}", other),
+                }
+                assert_equals_rebuild(&db, &model);
+            }
+
+            let before = model.clone();
+            for t in &batch {
+                if insert {
+                    model.insert(*t);
+                } else {
+                    model.remove(t);
+                }
+            }
+            let effective = db.apply(insert, &batch).unwrap();
+            let expected: BTreeSet<Triple> = before.symmetric_difference(&model).copied().collect();
+            prop_assert_eq!(effective.len(), expected.len(), "no repeats in the effective batch");
+            prop_assert_eq!(effective.iter().copied().collect::<BTreeSet<_>>(), expected);
+            assert_equals_rebuild(&db, &model);
+        }
+    }
+
     /// Forward and backward adjacency maps are transposes of each other:
     /// `w ∈ F^a(v) ⟺ v ∈ B^a(w)`.
     #[test]

@@ -190,8 +190,16 @@ impl Query {
     /// occur in `Q1`. Query (X3) of the paper is the canonical
     /// non-well-designed example.
     ///
+    /// The condition is defined on union-free patterns, so a query with
+    /// `UNION` is well designed iff every branch of its
+    /// [`Query::union_normal_form`] is: on the un-normalized tree a
+    /// variable that only one `UNION` branch of `Q1` binds would count as
+    /// occurring in `Q1`.
+    ///
     /// The dual-simulation machinery does not require well-designedness —
-    /// this predicate exists so workloads and experiments can report it.
+    /// this predicate exists so workloads and experiments can report it,
+    /// and so pruned evaluation can refuse (or warn about) queries whose
+    /// result set pruning may change.
     pub fn is_well_designed(&self) -> bool {
         fn check(q: &Query, outside: &BTreeSet<&str>) -> bool {
             match q {
@@ -218,7 +226,9 @@ impl Query {
                 }
             }
         }
-        check(self, &BTreeSet::new())
+        self.union_normal_form()
+            .iter()
+            .all(|branch| check(branch, &BTreeSet::new()))
     }
 
     /// Strips all `OPTIONAL` operators, keeping only the mandatory core
@@ -386,6 +396,31 @@ mod tests {
             Query::bgp(vec![tp("?x", "b", "?w")]).optional(Query::bgp(vec![tp("?z", "c", "?w2")])),
         );
         assert!(!bad.is_well_designed());
+    }
+
+    #[test]
+    fn well_designedness_is_judged_per_union_branch() {
+        // { {A UNION B} OPTIONAL C } { {D UNION E} OPTIONAL F } — the
+        // PROPTEST_SEED=77 query of `soundness_props`, on which pruned
+        // evaluation lost half the rows. ?v1 occurs in C and in E but
+        // only B, not A, binds it: the branch (A OPT C) AND (E OPT F) is
+        // not well designed, so the query is not.
+        let a = Query::bgp(vec![tp("n1", "p0", "?v0")]);
+        let b = Query::bgp(vec![tp("?v2", "p0", "?v1"), tp("?v2", "p0", "?v0")]);
+        let c = Query::bgp(vec![tp("?v1", "p1", "?v1")]);
+        let d = Query::bgp(vec![tp("?v3", "p0", "?v3")]);
+        let e = Query::bgp(vec![tp("?v0", "p0", "?v3"), tp("?v1", "p2", "?v0")]);
+        let f = Query::bgp(vec![tp("?v0", "p0", "n2")]);
+        let q = a
+            .clone()
+            .union(b.clone())
+            .optional(c.clone())
+            .and(d.clone().union(e.clone()).optional(f.clone()));
+        assert!(!q.is_well_designed());
+        let bad_branch = a.clone().optional(c.clone()).and(e.optional(f));
+        assert!(!bad_branch.is_well_designed());
+        // With E gone nothing outside the first OPTIONAL mentions ?v1.
+        assert!(a.union(b).optional(c).and(d).is_well_designed());
     }
 
     #[test]

@@ -370,7 +370,7 @@ fn run(args: &[String]) -> Result<(), String> {
             opts.output.as_deref(),
         ),
         "eval" => cmd_eval(&db, &load_query(&opts)?, &opts),
-        "maintain" => cmd_maintain(&db, &load_query(&opts)?, &opts),
+        "maintain" => cmd_maintain(db, &load_query(&opts)?, &opts),
         "serve" => cmd_serve(&db, &opts),
         "fingerprint" => cmd_fingerprint(&db, &opts),
         other => Err(format!("unknown command {other:?}")),
@@ -470,21 +470,21 @@ fn parse_update_batches(
 /// countdown, so no batch triggers a cold re-solve; under the default
 /// re-evaluation engine insertions fall back to a cold solve — the
 /// per-batch `warm`/`cold` tag makes the difference visible.
-fn cmd_maintain(db: &GraphDb, query: &Query, opts: &Opts) -> Result<(), String> {
+fn cmd_maintain(db: GraphDb, query: &Query, opts: &Opts) -> Result<(), String> {
     let path = opts.updates.as_deref().ok_or("--updates is required")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let (batches, bad_lines) = parse_update_batches(&text, db, opts.on_error == OnError::Skip)?;
+    let (batches, bad_lines) = parse_update_batches(&text, &db, opts.on_error == OnError::Skip)?;
     for msg in &bad_lines {
         eprintln!("warning: {msg} — line skipped");
     }
     let cfg = config(opts);
     let started = std::time::Instant::now();
-    let sois = build_sois(db, query);
+    let sois = build_sois(&db, query);
     let mut engines: Vec<IncrementalDualSim> = Vec::with_capacity(sois.len());
     match opts.wal.as_deref() {
         None => {
             for soi in sois {
-                engines.push(IncrementalDualSim::new(db, soi, cfg.clone()));
+                engines.push(IncrementalDualSim::new(&db, soi, cfg.clone()));
             }
         }
         Some(wal) => {
@@ -497,7 +497,7 @@ fn cmd_maintain(db: &GraphDb, query: &Query, opts: &Opts) -> Result<(), String> 
                 d.snapshot_every = opts.snapshot_every;
                 d.keep_snapshots = opts.keep_snapshots;
                 d.meta = meta.clone();
-                let sim = IncrementalDualSim::new_durable(db, soi, cfg.clone(), &d)
+                let sim = IncrementalDualSim::new_durable(&db, soi, cfg.clone(), &d)
                     .map_err(|e| format!("durability for union branch {i}: {e}"))?;
                 engines.push(sim);
             }
@@ -588,47 +588,40 @@ fn cmd_maintain_resume(opts: &Opts) -> Result<(), String> {
             batches
         }
     };
-    maintain_stream(&db, &query, engines, &batches, opts)
+    maintain_stream(db, &query, engines, &batches, opts)
 }
 
-/// The shared maintenance loop: applies every update batch to every
-/// union branch (staged against a copy of the resident triple set, with
-/// inverse-batch undo on error) and prints the per-branch solution and
-/// work counters. `db` is the resident database the engines currently
-/// reflect — the freshly loaded one for a cold start, the recovered one
-/// under `--resume`.
+/// The shared maintenance loop: merges every update batch into the
+/// resident database in place and applies it to every union branch
+/// (flipping the database back to the pre-batch graph, with
+/// inverse-batch undo of the branches, on error), then prints the
+/// per-branch solution and work counters. `db` is the resident database
+/// the engines currently reflect — the freshly loaded one for a cold
+/// start, the recovered one under `--resume`.
 fn maintain_stream(
-    db: &GraphDb,
+    mut db: GraphDb,
     query: &Query,
     mut engines: Vec<IncrementalDualSim>,
     batches: &[UpdateBatch],
     opts: &Opts,
 ) -> Result<(), String> {
-    use dualsim::graph::Triple;
-    let mut present: std::collections::BTreeSet<Triple> = db.triples().collect();
     for (i, (insert, batch)) in batches.iter().enumerate() {
-        // Stage the batch against a copy: a rejected batch must leave
-        // the resident triple set exactly as it was.
-        let mut next = present.clone();
-        let mut problem: Option<String> = None;
-        for t in batch {
-            let applies = if *insert {
-                next.insert(*t)
-            } else {
-                next.remove(t)
-            };
-            if !applies {
-                problem = Some(format!(
+        // Check the batch before touching anything: a rejected batch
+        // must leave the resident database exactly as it was.
+        let mut seen = std::collections::BTreeSet::new();
+        let mut problem: Option<String> = batch
+            .iter()
+            .find(|t| !seen.insert(**t) || db.contains_triple(**t) == *insert)
+            .map(|t| {
+                format!(
                     "update batch {}: triple (<{}> <{}> <{}>) is {} the database",
                     i + 1,
                     db.node_name(t.s),
                     db.label_name(t.p),
                     db.node_name(t.o),
                     if *insert { "already in" } else { "not in" }
-                ));
-                break;
-            }
-        }
+                )
+            });
         let started = std::time::Instant::now();
         let mut changed = 0usize;
         let mut warm = true;
@@ -636,16 +629,17 @@ fn maintain_stream(
         // failed — they must be walked back so every branch reflects
         // the same database again.
         let mut committed = 0usize;
+        let mut merged = false;
         if problem.is_none() {
-            let triples: Vec<Triple> = next.iter().copied().collect();
-            match db.with_triples(&triples) {
+            match db.apply(*insert, batch) {
                 Err(e) => problem = Some(format!("update batch {}: {e}", i + 1)),
-                Ok(db_after) => {
+                Ok(_) => {
+                    merged = true;
                     for engine in &mut engines {
                         let applied = if *insert {
-                            engine.apply_insertions(&db_after, batch)
+                            engine.apply_insertions(&db, batch)
                         } else {
-                            engine.apply_deletions(&db_after, batch)
+                            engine.apply_deletions(&db, batch)
                         };
                         match applied {
                             Ok(n) => {
@@ -664,7 +658,6 @@ fn maintain_stream(
         }
         let msg = match problem {
             None => {
-                present = next;
                 println!(
                     "batch {}: {}{} triple(s), {} candidate(s) {}, {} in {:?}",
                     i + 1,
@@ -680,20 +673,19 @@ fn maintain_stream(
             Some(msg) if opts.on_error == OnError::Abort => return Err(msg),
             Some(msg) => msg,
         };
-        // The failing branch rolled its own epoch back; undo the
-        // branches that had already committed by applying the inverse
-        // batch (the largest dual simulation is unique per database, so
-        // this restores the pre-batch solution exactly).
-        if committed > 0 {
-            let prev: Vec<Triple> = present.iter().copied().collect();
-            let db_before = db
-                .with_triples(&prev)
+        // The failing branch rolled its own epoch back; flip the
+        // database back to the pre-batch graph and undo the branches
+        // that had already committed by applying the inverse batch (the
+        // largest dual simulation is unique per database, so this
+        // restores the pre-batch solution exactly).
+        if merged {
+            db.apply(!*insert, batch)
                 .map_err(|e| format!("undoing batch {}: {e}", i + 1))?;
             for engine in engines.iter_mut().take(committed) {
                 let undone = if *insert {
-                    engine.apply_deletions(&db_before, batch)
+                    engine.apply_deletions(&db, batch)
                 } else {
-                    engine.apply_insertions(&db_before, batch)
+                    engine.apply_insertions(&db, batch)
                 };
                 undone.map_err(|e| format!("undoing batch {}: {e}", i + 1))?;
             }

@@ -277,6 +277,17 @@ fn eval_pruned_warns_on_non_well_designed_queries() {
     assert_eq!(warnings(&stderr), 1, "{stderr}");
     assert!(stderr.contains("not well-designed"), "{stderr}");
 
+    // UNION under OPTIONAL (the PROPTEST_SEED=77 query of
+    // `soundness_props`): ?v1 is bound by one UNION branch only, so the
+    // un-normalized tree looks well-designed; the check is per branch.
+    let union_under_optional = "{ { { { n1 p0 ?v0 } UNION { ?v2 p0 ?v1 . ?v2 p0 ?v0 } } \
+         OPTIONAL { ?v1 p1 ?v1 } } \
+         { { { ?v3 p0 ?v3 } UNION { ?v0 p0 ?v3 . ?v1 p2 ?v0 } } OPTIONAL { ?v0 p0 n2 } } }";
+    let (_, stderr) = eval(union_under_optional, false);
+    assert_eq!(warnings(&stderr), 0, "{stderr}");
+    let (_, stderr) = eval(union_under_optional, true);
+    assert_eq!(warnings(&stderr), 1, "{stderr}");
+
     // A well-designed query is evaluated on its pruning without comment.
     let (stdout, stderr) = eval("{ ?v2 p1 ?v1 OPTIONAL { ?v1 p0 ?v0 } }", true);
     assert!(stdout.contains("1 matches"), "{stdout}");
