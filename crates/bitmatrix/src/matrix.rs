@@ -2,9 +2,36 @@
 //!
 //! A [`BitMatrix`] stores one adjacency matrix `F^a` (or `B^a`) of
 //! Sect. 3.2 in compressed sparse row form: row `i` is the sorted run of
-//! column indices whose bit is one. This is the same information as the
-//! paper's gap-length encoded bit rows and keeps the memory footprint
-//! proportional to the number of edges rather than `|V|²`.
+//! column indices whose bit is one, and the runs of all rows lie back to
+//! back in one array. This is the same information as the paper's
+//! gap-length encoded bit rows. A row index finds a row's run; each
+//! matrix gets one of two, picked from its own share of non-empty rows
+//! when it is built and kept through [`BitMatrix::apply_sorted`]:
+//!
+//! * **dense** (at least one non-empty row in 16): `dim + 1` offsets, one
+//!   load pair per row. Memory: `4·(nnz + dim + 1)` bytes plus the
+//!   `dim`-bit row summary.
+//! * **ranked** (fewer): offsets for the non-empty rows only, reached by
+//!   rank over the row summary — one `u32` per 64 rows counts the
+//!   non-empty rows before them, a popcount the ones below a row in its
+//!   block. This is GQ-Fast's layout (dense ids, offsets only for present
+//!   keys; Lin et al., arXiv 1602.00033). Memory:
+//!   `4·(nnz + non-empty rows + 1) + 12·⌈dim/64⌉` bytes.
+//!
+//! With the dense index alone, a graph pays `2·|Σ|·|O_DB|` offset words
+//! whatever its edges: 72.8 MB of adjacency for the 166k-triple
+//! DBpedia-like graph of 151 labels over 57k nodes, about 440 bytes per
+//! triple. With the split it is 7.5 MB (11 of its 302 matrices stay
+//! dense), and memory is again proportional to the edges plus `|O_DB|/8`
+//! bytes per matrix for the summary. Why not rank every matrix: the rank
+//! lookup costs a popcount and a dependent load on every row access,
+//! which is most of the work where a query walks tens of thousands of
+//! one-entry rows. Measured per solve on the 554k-triple DBpedia-like
+//! graph (2-core x86-64 VM, best of 30), ranking every matrix made D0,
+//! D4, B14 and B17 45–51% slower, because their labels fill most rows;
+//! with the split the 33-query sweep costs what it did before (+1% in
+//! sum), and the queries that walk mid-sized ranked labels pay 15–25%
+//! (B9–B11: 3.5 ns more per multiplied row, 2 ns more per probed row).
 
 use crate::{kernels, BitVec, ChiRead, ChiVec, RleBitVec};
 
@@ -164,13 +191,129 @@ impl RowSelector for ChiVec {
     }
 }
 
+/// A matrix with fewer than one non-empty row in `RANKED_BELOW_ONE_IN`
+/// gets the ranked row index when it is built; the others keep the
+/// dense one.
+const RANKED_BELOW_ONE_IN: usize = 16;
+
+/// Evaluates `$body` with `$index` bound to the row index of the matrix
+/// `$m`, resolved to its kind ([`DenseIndex`] or [`RankedIndex`]): the
+/// body is compiled once per kind, so a walk over many rows dispatches
+/// once, not once per row.
+macro_rules! with_index {
+    ($m:expr, $index:ident => $body:expr) => {
+        match &$m.rank {
+            None => {
+                let $index = DenseIndex {
+                    offsets: &$m.offsets,
+                };
+                $body
+            }
+            Some(rank) => {
+                let $index = RankedIndex {
+                    offsets: &$m.offsets,
+                    rank,
+                    summary: $m.summary.blocks(),
+                };
+                $body
+            }
+        }
+    };
+}
+
+/// Row lookups of one row index kind (see [`with_index!`]).
+trait RowIndex: Copy {
+    /// Row `i`'s entry in `offsets` (`0 <= i <= dim`); for an empty row
+    /// of a ranked index, where its entry would go.
+    fn entry(self, i: usize) -> usize;
+
+    /// Where row `i` starts in `targets` (`0 <= i <= dim`); for an empty
+    /// row, where its entries would go.
+    fn start(self, i: usize) -> usize;
+
+    /// Where row `i` (`i < dim`) lies in `targets`.
+    fn bounds(self, i: usize) -> std::ops::Range<usize>;
+}
+
+/// The dense index: `dim + 1` offsets.
+#[derive(Clone, Copy)]
+struct DenseIndex<'a> {
+    offsets: &'a [u32],
+}
+
+impl RowIndex for DenseIndex<'_> {
+    #[inline(always)]
+    fn entry(self, i: usize) -> usize {
+        i
+    }
+
+    #[inline(always)]
+    fn start(self, i: usize) -> usize {
+        self.offsets[i] as usize
+    }
+
+    #[inline(always)]
+    fn bounds(self, i: usize) -> std::ops::Range<usize> {
+        self.offsets[i] as usize..self.offsets[i + 1] as usize
+    }
+}
+
+/// The ranked index: offsets of the non-empty rows, reached by rank over
+/// the row summary.
+#[derive(Clone, Copy)]
+struct RankedIndex<'a> {
+    offsets: &'a [u32],
+    rank: &'a [u32],
+    summary: &'a [u64],
+}
+
+impl RowIndex for RankedIndex<'_> {
+    #[inline(always)]
+    fn entry(self, i: usize) -> usize {
+        const B: usize = crate::bitvec::BLOCK_BITS;
+        match self.summary.get(i / B) {
+            Some(&block) => {
+                let below = block & ((1u64 << (i % B)) - 1);
+                self.rank[i / B] as usize + below.count_ones() as usize
+            }
+            None => self.offsets.len() - 1,
+        }
+    }
+
+    #[inline(always)]
+    fn start(self, i: usize) -> usize {
+        self.offsets[self.entry(i)] as usize
+    }
+
+    #[inline(always)]
+    fn bounds(self, i: usize) -> std::ops::Range<usize> {
+        const B: usize = crate::bitvec::BLOCK_BITS;
+        let block = self.summary[i / B];
+        let bit = 1u64 << (i % B);
+        if block & bit == 0 {
+            return 0..0;
+        }
+        let at = self.rank[i / B] as usize + (block & (bit - 1)).count_ones() as usize;
+        self.offsets[at] as usize..self.offsets[at + 1] as usize
+    }
+}
+
 /// A `dim × dim` boolean matrix with compressed (sorted, deduplicated)
 /// rows.
 #[derive(Clone, Debug)]
 pub struct BitMatrix {
     dim: usize,
-    /// CSR offsets: row `i` occupies `targets[offsets[i]..offsets[i+1]]`.
-    offsets: Box<[u32]>,
+    /// Where the rows start in `targets`, plus a last entry `nnz`. Dense
+    /// index (`rank` is `None`): one entry per row, so row `i` occupies
+    /// `targets[offsets[i]..offsets[i + 1]]`. Ranked index: one entry per
+    /// non-empty row, in row order. A `Vec` because a ranked index grows
+    /// and shrinks with [`BitMatrix::apply_sorted`].
+    offsets: Vec<u32>,
+    /// The ranked index's directory, one entry per block of `summary`:
+    /// `rank[b]` counts the non-empty rows before block `b`, so row `i`'s
+    /// entry in `offsets` is `rank[i / 64]` plus the non-empty rows below
+    /// it in its block. `None` for the dense index.
+    rank: Option<Box<[u32]>>,
     /// Concatenated sorted column indices of all rows. A `Vec` so that
     /// [`BitMatrix::apply_sorted`] can grow and shrink it in place; it
     /// may hold slack capacity after a delete.
@@ -178,6 +321,40 @@ pub struct BitMatrix {
     /// Row summary: bit `i` set iff row `i` is non-empty. For a forward
     /// matrix `F^a` this is the vector `f^a` of Eq. (13).
     summary: BitVec,
+}
+
+/// Moves the offsets `range` to start at `to` and raises (`insert`) or
+/// lowers them by `by`: at most one `memmove` and one vectorizable pass.
+fn move_offsets(
+    offsets: &mut [u32],
+    range: std::ops::Range<usize>,
+    to: usize,
+    by: u32,
+    insert: bool,
+) {
+    let len = range.len();
+    if to != range.start {
+        offsets.copy_within(range, to);
+    }
+    let moved = &mut offsets[to..to + len];
+    if insert {
+        moved.iter_mut().for_each(|offset| *offset += by);
+    } else {
+        moved.iter_mut().for_each(|offset| *offset -= by);
+    }
+}
+
+/// A row that a batch of [`BitMatrix::apply_sorted`] changes, as the
+/// row index saw it before the batch.
+struct TouchedRow {
+    row: usize,
+    /// The row's entry in `offsets`; for an empty row of a ranked index,
+    /// where its entry goes.
+    entry: usize,
+    /// Entries the row gains or loses.
+    edits: u32,
+    /// The row becomes non-empty (insert) or empty (delete).
+    flips: bool,
 }
 
 impl BitMatrix {
@@ -188,51 +365,62 @@ impl BitMatrix {
     /// Panics if any index is `>= dim` or if the number of entries
     /// overflows `u32`.
     pub fn from_edges(dim: usize, edges: &[(u32, u32)]) -> Self {
-        let mut counts = vec![0u32; dim + 1];
-        for &(r, c) in edges {
-            assert!(
-                (r as usize) < dim && (c as usize) < dim,
-                "edge ({r},{c}) out of bounds {dim}"
-            );
-            counts[r as usize + 1] += 1;
-        }
-        for i in 0..dim {
-            counts[i + 1] += counts[i];
-        }
-        let nnz = counts[dim] as usize;
-        assert!(nnz <= u32::MAX as usize, "too many matrix entries");
-        let mut targets = vec![0u32; nnz];
-        let mut cursor = counts.clone();
-        for &(r, c) in edges {
-            let slot = cursor[r as usize] as usize;
-            targets[slot] = c;
-            cursor[r as usize] += 1;
-        }
-        // Sort and deduplicate each row, then re-compact the CSR arrays.
-        let mut dedup_targets = Vec::with_capacity(nnz);
-        let mut offsets = vec![0u32; dim + 1];
-        for i in 0..dim {
-            let row = &mut targets[counts[i] as usize..counts[i + 1] as usize];
-            row.sort_unstable();
-            let start = dedup_targets.len();
-            for &c in row.iter() {
-                if dedup_targets.len() == start || *dedup_targets.last().unwrap() != c {
-                    dedup_targets.push(c);
-                }
-            }
-            offsets[i + 1] = dedup_targets.len() as u32;
-        }
+        let mut keys: Vec<u64> = edges
+            .iter()
+            .map(|&(r, c)| {
+                assert!(
+                    (r as usize) < dim && (c as usize) < dim,
+                    "edge ({r},{c}) out of bounds {dim}"
+                );
+                (u64::from(r) << 32) | u64::from(c)
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        BitMatrix::from_sorted_keys(dim, &keys)
+    }
+
+    /// Builds a matrix from its entries packed as `row << 32 | col`,
+    /// sorted ascending and distinct, picking the row index from the
+    /// share of non-empty rows. Allocates the matrix and nothing else.
+    fn from_sorted_keys(dim: usize, keys: &[u64]) -> Self {
+        assert!(keys.len() <= u32::MAX as usize, "too many matrix entries");
+        let rows = || keys.chunk_by(|a, b| a >> 32 == b >> 32);
         let mut summary = BitVec::zeros(dim);
-        for i in 0..dim {
-            if offsets[i] != offsets[i + 1] {
-                summary.set(i);
-            }
+        for row in rows() {
+            summary.set((row[0] >> 32) as usize);
         }
-        dedup_targets.shrink_to_fit();
+        let nonempty = rows().count();
+        let ranked = nonempty * RANKED_BELOW_ONE_IN < dim;
+        let entries = if ranked { nonempty } else { dim } + 1;
+        let mut offsets = Vec::with_capacity(entries);
+        let mut start = 0u32;
+        for row in rows() {
+            if !ranked {
+                // The empty rows before this one start where it does.
+                offsets.resize((row[0] >> 32) as usize, start);
+            }
+            offsets.push(start);
+            start += row.len() as u32;
+        }
+        offsets.resize(entries, start);
+        let rank = ranked.then(|| {
+            let mut before = 0u32;
+            summary
+                .blocks()
+                .iter()
+                .map(|block| {
+                    let here = before;
+                    before += block.count_ones();
+                    here
+                })
+                .collect()
+        });
         BitMatrix {
             dim,
-            offsets: offsets.into_boxed_slice(),
-            targets: dedup_targets,
+            offsets,
+            rank,
+            targets: keys.iter().map(|&k| k as u32).collect(),
             summary,
         }
     }
@@ -243,14 +431,18 @@ impl BitMatrix {
     /// already in the requested state, and repeats, are skipped; returns
     /// the number of entries that changed.
     ///
-    /// The CSR layout is kept exactly (every reader still gets plain
-    /// slices): each entry's slot is found by binary search in its row,
-    /// `targets` is shifted once for the whole batch — back to front for
-    /// inserts, front to back for deletes — and the `offsets` behind the
-    /// first touched row move by the running count. The cost is
-    /// therefore `O(|entries| log d + nnz + dim)` word moves at worst
-    /// (everything behind the first touched slot and row), not a rebuild
-    /// and not `O(|entries|)`.
+    /// Every reader still gets plain slices, and the row index stays the
+    /// kind it was built as: each entry's slot is found by binary search
+    /// in its row, `targets` is shifted once for the whole batch — back
+    /// to front for inserts, front to back for deletes — and the
+    /// `offsets` behind the first touched row move by the running count.
+    /// A ranked index also splices in the entries of rows that appear and
+    /// drops those of rows that vanish, and recounts its rank directory
+    /// from the first block whose summary bit flipped. The cost is
+    /// therefore `O(|entries| log d + nnz + r + dim/64)` word moves at
+    /// worst, where `r` is the number of non-empty rows for a ranked
+    /// index and `dim` for a dense one — not a rebuild and not
+    /// `O(|entries|)`.
     ///
     /// # Panics
     /// Panics if `entries` is not sorted, if any index is `>= dim`, or
@@ -272,7 +464,7 @@ impl BitMatrix {
             if i > 0 && entries[i - 1] == (r, c) {
                 continue;
             }
-            let start = self.offsets[r as usize] as usize;
+            let start = with_index!(self, index => index.start(r as usize));
             match (self.row(r as usize).binary_search(&c), insert) {
                 (Err(pos), true) | (Ok(pos), false) => edits.push((start + pos, r, c)),
                 _ => {}
@@ -281,6 +473,22 @@ impl BitMatrix {
         let Some(&(first_slot, ..)) = edits.first() else {
             return 0;
         };
+        let touched: Vec<TouchedRow> = edits
+            .chunk_by(|a, b| a.1 == b.1)
+            .map(|run| {
+                let row = run[0].1 as usize;
+                TouchedRow {
+                    row,
+                    entry: with_index!(self, index => index.entry(row)),
+                    edits: run.len() as u32,
+                    flips: if insert {
+                        !self.summary.get(row)
+                    } else {
+                        self.row(row).len() == run.len()
+                    },
+                }
+            })
+            .collect();
         let old_len = self.targets.len();
         if insert {
             let new_len = old_len + edits.len();
@@ -306,28 +514,68 @@ impl BitMatrix {
             }
             self.targets.truncate(dst);
         }
-        // `offsets[j]` counts the entries of rows `< j`: behind the i-th
-        // edit (and up to the next edit's row) it moves by `i + 1`.
-        for (i, &(_, r, _)) in edits.iter().enumerate() {
-            let delta = i as u32 + 1;
-            let next_row = edits.get(i + 1).map_or(self.dim, |next| next.1 as usize);
-            for offset in &mut self.offsets[r as usize + 1..=next_row] {
-                if insert {
-                    *offset += delta;
-                } else {
-                    *offset -= delta;
-                }
-            }
-        }
-        for &(_, r, _) in &edits {
-            let r = r as usize;
+        self.shift_offsets(insert, &touched);
+        let mut first_flipped = None;
+        for t in touched.iter().filter(|t| t.flips) {
             if insert {
-                self.summary.set(r);
-            } else if self.offsets[r] == self.offsets[r + 1] {
-                self.summary.clear(r);
+                self.summary.set(t.row);
+            } else {
+                self.summary.clear(t.row);
+            }
+            first_flipped.get_or_insert(t.row / crate::bitvec::BLOCK_BITS);
+        }
+        if let (Some(rank), Some(first)) = (self.rank.as_mut(), first_flipped) {
+            let blocks = self.summary.blocks();
+            for b in first..rank.len() - 1 {
+                rank[b + 1] = rank[b] + blocks[b].count_ones();
             }
         }
         edits.len()
+    }
+
+    /// The `offsets` half of [`BitMatrix::apply_sorted`], after `targets`
+    /// has moved: an entry starts its row, so it moves by the edits of
+    /// the rows before that row, and by the entries that appear (insert)
+    /// or vanish (delete) before it. A ranked index gains the entries of
+    /// rows that become non-empty and loses those of rows that become
+    /// empty; a dense index keeps every entry. `touched` ascends by row.
+    fn shift_offsets(&mut self, insert: bool, touched: &[TouchedRow]) {
+        let ranked = self.rank.is_some();
+        let offsets = &mut self.offsets;
+        let old_len = offsets.len();
+        if insert {
+            // Back to front, the array growing by the new rows' entries.
+            let mut edits: u32 = touched.iter().map(|t| t.edits).sum();
+            let mut added = touched.iter().filter(|t| ranked && t.flips).count();
+            offsets.reserve_exact(added);
+            offsets.resize(old_len + added, 0);
+            let mut end = old_len;
+            for t in touched.iter().rev() {
+                let appears = ranked && t.flips;
+                let start = t.entry + usize::from(!appears);
+                move_offsets(offsets, start..end, start + added, edits, true);
+                edits -= t.edits;
+                added -= usize::from(appears);
+                offsets[t.entry + added] = offsets[t.entry] + edits;
+                end = t.entry;
+            }
+        } else {
+            // Front to back, the array shrinking by the emptied rows' entries.
+            let (mut edits, mut removed) = (0u32, 0usize);
+            let mut start = touched[0].entry;
+            for t in touched {
+                move_offsets(offsets, start..t.entry, start - removed, edits, false);
+                let vanishes = ranked && t.flips;
+                if !vanishes {
+                    offsets[t.entry - removed] = offsets[t.entry] - edits;
+                }
+                edits += t.edits;
+                removed += usize::from(vanishes);
+                start = t.entry + 1;
+            }
+            move_offsets(offsets, start..old_len, start - removed, edits, false);
+            offsets.truncate(old_len - removed);
+        }
     }
 
     /// Matrix dimension (rows == columns == data-graph node count).
@@ -345,13 +593,14 @@ impl BitMatrix {
     /// The sorted column indices of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> &[u32] {
-        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        debug_assert!(i < self.dim, "row {i} out of bounds {}", self.dim);
+        with_index!(self, index => &self.targets[index.bounds(i)])
     }
 
     /// Number of one-entries in row `i`.
     #[inline]
     pub fn row_len(&self, i: usize) -> usize {
-        (self.offsets[i + 1] - self.offsets[i]) as usize
+        self.row(i).len()
     }
 
     /// The concatenated entries of the consecutive rows `[start, end)` —
@@ -364,7 +613,7 @@ impl BitMatrix {
     /// saving `SolveStats::row_lookups` makes measurable).
     #[inline]
     pub fn rows_segment(&self, start: usize, end: usize) -> &[u32] {
-        &self.targets[self.offsets[start] as usize..self.offsets[end] as usize]
+        with_index!(self, index => &self.targets[index.start(start)..index.start(end)])
     }
 
     /// Entry test `A(i, j) == 1`.
@@ -377,6 +626,12 @@ impl BitMatrix {
     #[inline]
     pub fn row_summary(&self) -> &BitVec {
         &self.summary
+    }
+
+    /// Whether the matrix carries the ranked row index.
+    #[cfg(test)]
+    pub(crate) fn is_ranked(&self) -> bool {
+        self.rank.is_some()
     }
 
     /// Number of rows with at least one entry.
@@ -402,10 +657,10 @@ impl BitMatrix {
         // per multiply, not one per selected row.
         let kernel = kernels::active();
         let mut rows = 0usize;
-        x.for_each_selected(|i| {
-            kernels::or_scatter_with(kernel, out.blocks_mut(), self.row(i));
+        with_index!(self, index => x.for_each_selected(|i| {
+            kernels::or_scatter_with(kernel, out.blocks_mut(), &self.targets[index.bounds(i)]);
             rows += 1;
-        });
+        }));
         rows
     }
 
@@ -458,11 +713,11 @@ impl BitMatrix {
         assert_eq!(counts.len(), self.dim);
         let kernel = kernels::active();
         let mut increments = 0usize;
-        x.for_each_selected_run(|start, end| {
-            let segment = self.rows_segment(start, end);
+        with_index!(self, index => x.for_each_selected_run(|start, end| {
+            let segment = &self.targets[index.start(start)..index.start(end)];
             kernels::increment_scatter_with(kernel, counts, segment);
             increments += segment.len();
-        });
+        }));
         increments
     }
 
@@ -529,39 +784,42 @@ impl BitMatrix {
     ) -> usize {
         removed.clear();
         let mut probed = 0usize;
-        for j in kept {
+        with_index!(self, index => for j in kept {
             probed += 1;
-            if !probe.selects_any(self.row(j)) {
+            if !probe.selects_any(&self.targets[index.bounds(j)]) {
                 removed.push(j as u32);
             }
-        }
+        });
         probed
     }
 
-    /// Heap bytes held by the CSR arrays and the summary vector — the
-    /// per-label matrix memory the paper's §5.1 accounting reports.
-    /// Counts the allocation (`capacity`), not the entries: `targets`
-    /// keeps its slack after [`BitMatrix::apply_sorted`] deletes.
+    /// Heap bytes held by the CSR arrays, the rank directory and the
+    /// summary vector — the per-label matrix memory the paper's §5.1
+    /// accounting reports. Counts the allocation (`capacity`), not the
+    /// entries: `targets` and a ranked `offsets` keep their slack after
+    /// [`BitMatrix::apply_sorted`] deletes.
     pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<u32>()
-            + self.targets.capacity() * std::mem::size_of::<u32>()
+        let rank = self.rank.as_ref().map_or(0, |rank| rank.len());
+        (self.offsets.capacity() + self.targets.capacity() + rank) * std::mem::size_of::<u32>()
             + self.summary.heap_bytes()
     }
 
     /// Builds the transposed matrix.
     pub fn transpose(&self) -> BitMatrix {
-        let mut edges = Vec::with_capacity(self.nnz());
-        for i in 0..self.dim {
-            for &j in self.row(i) {
-                edges.push((j, i as u32));
-            }
-        }
-        BitMatrix::from_edges(self.dim, &edges)
+        let mut keys = Vec::with_capacity(self.nnz());
+        keys.extend(
+            self.entries()
+                .map(|(i, j)| (u64::from(j) << 32) | u64::from(i)),
+        );
+        keys.sort_unstable();
+        BitMatrix::from_sorted_keys(self.dim, &keys)
     }
 
     /// Iterator over all `(row, col)` one-entries.
     pub fn entries(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        (0..self.dim).flat_map(move |i| self.row(i).iter().map(move |&j| (i as u32, j)))
+        self.summary
+            .iter_ones()
+            .flat_map(move |i| self.row(i).iter().map(move |&j| (i as u32, j)))
     }
 }
 
@@ -758,6 +1016,48 @@ mod tests {
         assert_eq!(m.row(0), &[0, 2]);
         assert_eq!(m.row_summary().to_indices(), vec![0, 3, 4]);
         assert_eq!(m.nnz(), 4);
+    }
+
+    #[test]
+    fn the_index_is_picked_by_the_share_of_nonempty_rows() {
+        // 9 of 160 rows: below one in 16, ranked; 10 of 160: dense.
+        let nine: Vec<(u32, u32)> = (0..9).map(|i| (i * 17, i)).collect();
+        let ten: Vec<(u32, u32)> = (0..10).map(|i| (i * 16, i)).collect();
+        let ranked = BitMatrix::from_edges(160, &nine);
+        let dense = BitMatrix::from_edges(160, &ten);
+        assert!(ranked.is_ranked() && !dense.is_ranked());
+        // 9 targets, 10 offsets, 3 summary words and 3 rank entries.
+        assert_eq!(ranked.heap_bytes(), 4 * (9 + 10) + 8 * 3 + 4 * 3);
+        assert_eq!(dense.heap_bytes(), 4 * (10 + 161) + 8 * 3);
+        assert_eq!(ranked.nonempty_rows(), 9);
+        assert_eq!(ranked.entries().collect::<Vec<_>>(), nine);
+    }
+
+    #[test]
+    fn a_ranked_index_splices_rows_in_and_out() {
+        // Rows 3, 64 and 130 of 192 (three whole blocks): ranked.
+        let mut m = BitMatrix::from_edges(192, &[(130, 1), (3, 7), (64, 0), (64, 5)]);
+        assert!(m.is_ranked());
+        assert_eq!(m.row(64), &[0, 5]);
+        assert_eq!(m.row(63), &[] as &[u32]);
+        assert_eq!(m.rows_segment(4, 131), &[0, 5, 1]);
+        assert_eq!(m.rows_segment(0, 192), &[7, 0, 5, 1]);
+        // Rows 0 and 70 appear, row 64 grows.
+        assert_eq!(
+            m.apply_sorted(true, &[(0, 9), (64, 2), (70, 4), (70, 6)]),
+            4
+        );
+        assert_eq!(m.rows_segment(0, 192), &[9, 7, 0, 2, 5, 4, 6, 1]);
+        assert_eq!(m.row(70), &[4, 6]);
+        assert_eq!(m.row_summary().to_indices(), vec![0, 3, 64, 70, 130]);
+        // Rows 3 and 130 vanish, row 64 shrinks.
+        assert_eq!(m.apply_sorted(false, &[(3, 7), (64, 0), (130, 1)]), 3);
+        assert_eq!(m.rows_segment(0, 192), &[9, 2, 5, 4, 6]);
+        assert_eq!(m.row(130), &[] as &[u32]);
+        assert_eq!(m.rows_segment(65, 192), &[4, 6]);
+        assert_eq!(m.row_summary().to_indices(), vec![0, 64, 70]);
+        assert_eq!(m.nonempty_rows(), 3);
+        assert!(m.is_ranked());
     }
 
     #[test]

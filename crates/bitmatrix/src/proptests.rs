@@ -21,6 +21,28 @@ fn arb_matrix() -> impl Strategy<Value = BitMatrix> {
         .prop_map(|edges| BitMatrix::from_edges(LEN, &edges))
 }
 
+/// Matrices of both row indexes, in equal shares. Ranked: at most nine
+/// non-empty rows of 150 (9 · 16 < 150), several entries each. Dense:
+/// 10 to 40 random entries, so a delete script can empty all but nine
+/// rows; or [`arb_matrix`], whose 0 to 400 entries almost always fill
+/// more than one row in 16.
+fn arb_matrix_either_index() -> impl Strategy<Value = BitMatrix> {
+    let ranked = (
+        proptest::collection::vec(0u32..LEN as u32, 1..10),
+        proptest::collection::vec((any::<usize>(), 0u32..LEN as u32), 0..60),
+    )
+        .prop_map(|(rows, cells)| {
+            let edges: Vec<(u32, u32)> = cells
+                .into_iter()
+                .map(|(k, c)| (rows[k % rows.len()], c))
+                .collect();
+            BitMatrix::from_edges(LEN, &edges)
+        });
+    let small_dense = proptest::collection::vec((0u32..LEN as u32, 0u32..LEN as u32), 10..40)
+        .prop_map(|edges| BitMatrix::from_edges(LEN, &edges));
+    prop_oneof![4 => ranked, 3 => small_dense, 1 => arb_matrix()]
+}
+
 /// A selector that is mostly ones (a few bits cleared), exercising the
 /// dense block-skip fast paths — including whole all-ones blocks.
 fn arb_dense_bitvec() -> impl Strategy<Value = BitVec> {
@@ -34,9 +56,12 @@ fn arb_dense_bitvec() -> impl Strategy<Value = BitVec> {
 }
 
 /// A script of [`BitMatrix::apply_sorted`] calls: per call a sign and raw
-/// entries `(row, col, k)`. An odd `k` redirects the entry to the
-/// `k`-th present one, so deletes (and inserts of present entries) hit
-/// far more often than uniform cells of a sparse matrix would.
+/// entries `(row, col, k)`. Unless `k` is a multiple of 4 the entry is
+/// redirected to the `k`-th present one, so deletes (and inserts of
+/// present entries) hit far more often than uniform cells of a sparse
+/// matrix would, and a few delete calls empty a small matrix. Inserts of
+/// uniform cells spread over many rows, so they grow a ranked matrix past
+/// one non-empty row in 16.
 type EditScript = Vec<(bool, Vec<(u32, u32, usize)>)>;
 
 fn arb_edit_script() -> impl Strategy<Value = EditScript> {
@@ -45,6 +70,83 @@ fn arb_edit_script() -> impl Strategy<Value = EditScript> {
         (any::<bool>(), proptest::collection::vec(entry, 0..40)),
         1..8,
     )
+}
+
+/// The entries of one script call, redirected against `model` and
+/// sorted; `model` becomes the entry set after the call.
+fn script_call(
+    model: &mut std::collections::BTreeSet<(u32, u32)>,
+    insert: bool,
+    raw: Vec<(u32, u32, usize)>,
+) -> Vec<(u32, u32)> {
+    let mut entries: Vec<(u32, u32)> = raw
+        .into_iter()
+        .map(|(r, c, k)| match model.iter().nth(k % model.len().max(1)) {
+            Some(&present) if k % 4 != 0 => present,
+            _ => (r, c),
+        })
+        .collect();
+    entries.sort_unstable();
+    for &e in &entries {
+        if insert {
+            model.insert(e);
+        } else {
+            model.remove(&e);
+        }
+    }
+    entries
+}
+
+/// Whether a matrix with `nonempty` non-empty rows of `LEN` would be
+/// built with the ranked index.
+fn ranked_share(nonempty: usize) -> bool {
+    nonempty * 16 < LEN
+}
+
+/// The scripts of [`apply_sorted_sequences_equal_a_rebuild`] reach both
+/// row indexes and cross the threshold both ways: ranked matrices that
+/// grow past one non-empty row in 16 (and stay ranked), dense ones that
+/// shrink below it (and stay dense). Prints the shares; each is one in
+/// eight or more (over 30 seeds the smallest was 34 of 256), so the
+/// bound of one in twenty holds under a rotating `PROPTEST_SEED`.
+#[test]
+fn edit_scripts_reach_both_indexes_and_cross_the_threshold() {
+    let mut rng = proptest::test_runner::TestRng::deterministic("edit-script-coverage");
+    let (matrices, scripts) = (arb_matrix_either_index(), arb_edit_script());
+    let cases = 256;
+    let (mut ranked, mut grown, mut shrunk) = (0, 0, 0);
+    for _ in 0..cases {
+        let mut m = matrices.generate(&mut rng);
+        let script = scripts.generate(&mut rng);
+        let built_ranked = m.is_ranked();
+        ranked += usize::from(built_ranked);
+        assert_eq!(built_ranked, ranked_share(m.nonempty_rows()));
+        let mut model: std::collections::BTreeSet<(u32, u32)> = m.entries().collect();
+        let (mut crossed_up, mut crossed_down) = (false, false);
+        for (insert, raw) in script {
+            let entries = script_call(&mut model, insert, raw);
+            m.apply_sorted(insert, &entries);
+            assert_eq!(m.is_ranked(), built_ranked, "the index stays as built");
+            let now_ranked_share = ranked_share(m.nonempty_rows());
+            crossed_up |= built_ranked && !now_ranked_share;
+            crossed_down |= !built_ranked && now_ranked_share;
+        }
+        grown += usize::from(crossed_up);
+        shrunk += usize::from(crossed_down);
+    }
+    println!(
+        "{cases} scripts: {ranked} start ranked, {} dense; {grown} ranked grew past 1/16, \
+         {shrunk} dense shrank below it",
+        cases - ranked
+    );
+    for (what, n) in [
+        ("ranked", ranked),
+        ("dense", cases - ranked),
+        ("grown", grown),
+        ("shrunk", shrunk),
+    ] {
+        assert!(n * 20 >= cases, "{what}: {n} of {cases}");
+    }
 }
 
 /// Every reader of `m` agrees with a fresh `from_edges` of `model`.
@@ -257,33 +359,37 @@ proptest! {
 
     /// The oracle of the in-place mutation: after any sequence of
     /// `apply_sorted` calls — with repeats, inserts of present entries
-    /// and deletes of absent ones — the matrix is indistinguishable from
-    /// `from_edges` of the resulting entry set, and each call reports
-    /// how many entries it changed.
+    /// and deletes of absent ones, on matrices of either row index,
+    /// across the index threshold both ways — the matrix is
+    /// indistinguishable from `from_edges` of the resulting entry set,
+    /// and each call reports how many entries it changed.
     #[test]
-    fn apply_sorted_sequences_equal_a_rebuild(m in arb_matrix(), script in arb_edit_script()) {
+    fn apply_sorted_sequences_equal_a_rebuild(
+        m in arb_matrix_either_index(),
+        script in arb_edit_script(),
+    ) {
         let mut m = m;
         let mut model: std::collections::BTreeSet<(u32, u32)> = m.entries().collect();
         for (insert, raw) in script {
-            let mut entries: Vec<(u32, u32)> = raw
-                .into_iter()
-                .map(|(r, c, k)| match model.iter().nth(k % model.len().max(1)) {
-                    Some(&present) if k % 2 == 1 => present,
-                    _ => (r, c),
-                })
-                .collect();
-            entries.sort_unstable();
             let before = model.len();
-            for &e in &entries {
-                if insert {
-                    model.insert(e);
-                } else {
-                    model.remove(&e);
-                }
-            }
+            let entries = script_call(&mut model, insert, raw);
             let changed = m.apply_sorted(insert, &entries);
             prop_assert_eq!(changed, before.abs_diff(model.len()));
             assert_equals_rebuild(&m, &model);
+        }
+    }
+
+    /// A freshly built ranked matrix costs its entries, one offset per
+    /// non-empty row plus one, and 12 bytes per 64 rows (a summary word
+    /// and a rank entry) — no offset for an empty row.
+    #[test]
+    fn ranked_matrices_cost_their_rows_not_their_dimension(m in arb_matrix_either_index()) {
+        for m in [m.transpose(), m] {
+            prop_assert_eq!(m.is_ranked(), ranked_share(m.nonempty_rows()));
+            if m.is_ranked() {
+                let bound = 4 * (m.nnz() + m.nonempty_rows() + 1) + 12 * LEN.div_ceil(64) + 4;
+                prop_assert!(m.heap_bytes() <= bound, "{} > {}", m.heap_bytes(), bound);
+            }
         }
     }
 

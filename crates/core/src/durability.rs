@@ -1594,6 +1594,39 @@ mod tests {
         }
     }
 
+    /// A snapshot graph whose triple section names an id outside its own
+    /// node or label section is corrupt: decoding reports it instead of
+    /// dropping the label or panicking.
+    #[test]
+    fn graph_triples_outside_the_vocabulary_are_corrupt() {
+        let encode = |(s, p, o): (u32, u32, u32)| {
+            let mut enc = Enc::default();
+            enc.usize(2);
+            for name in ["a", "b"] {
+                enc.str(name);
+                enc.u8(0);
+            }
+            enc.usize(1);
+            enc.str("p");
+            enc.usize(1);
+            for id in [s, p, o] {
+                enc.u32(id);
+            }
+            enc.buf
+        };
+        let db = decode_db(&mut Dec::new(&encode((0, 0, 1)), "test")).unwrap();
+        assert_eq!(db.num_triples(), 1);
+        for foreign in [(0, 1, 1), (2, 0, 1), (0, 0, 2)] {
+            let bytes = encode(foreign);
+            match decode_db(&mut Dec::new(&bytes, "test")) {
+                Err(MaintainError::Corrupt { detail }) => {
+                    assert!(detail.contains("outside the shared vocabulary"), "{detail}");
+                }
+                other => panic!("{foreign:?}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn wal_scan_of_a_missing_file_is_empty() {
         let scan = scan_wal(Path::new("/nonexistent/definitely/wal.log")).unwrap();

@@ -456,7 +456,7 @@ impl QuerySession {
     ) -> Result<BatchReport, SessionError> {
         // One shared validation + dedup + no-op filter for all queries:
         // the graph itself answers presence and returns what changed.
-        let batch = self.db.apply(insert, triples).map_err(|e| match e {
+        let applied = self.db.apply(insert, triples).map_err(|e| match e {
             GraphError::ForeignTriple { triple, .. } => SessionError::Batch {
                 error: MaintainError::OutOfVocabulary { triple },
             },
@@ -467,9 +467,9 @@ impl QuerySession {
             },
         })?;
         self.stats.triples_validated += triples.len();
-        let distinct = triples.iter().collect::<BTreeSet<_>>().len();
-        let deduped = triples.len() - distinct;
-        let noops = distinct - batch.len();
+        let batch = applied.effective;
+        let deduped = triples.len() - applied.distinct;
+        let noops = applied.distinct - batch.len();
         self.stats.duplicates_dropped += deduped;
         self.stats.noops_dropped += noops;
         if batch.is_empty() {

@@ -236,40 +236,19 @@ impl GraphDb {
     /// Rejects the first triple of `batch` that mentions a label or node
     /// outside the vocabulary, with its 1-based position.
     fn check_vocabulary(&self, batch: &[Triple]) -> Result<(), GraphError> {
-        let n = self.vocab.num_nodes() as u32;
-        let labels = self.vocab.num_labels();
-        for (idx, t) in batch.iter().enumerate() {
-            if (t.p as usize) >= labels || t.s >= n || t.o >= n {
-                let node = |id: u32| {
-                    if id < n {
-                        self.vocab.node_name(id).to_owned()
-                    } else {
-                        format!("#{id}")
-                    }
-                };
-                let label = if (t.p as usize) < labels {
-                    self.vocab.label_name(t.p).to_owned()
-                } else {
-                    format!("#{}", t.p)
-                };
-                return Err(GraphError::ForeignTriple {
-                    triple: *t,
-                    subject: node(t.s),
-                    predicate: label,
-                    object: node(t.o),
-                    index: idx + 1,
-                });
-            }
-        }
-        Ok(())
+        batch
+            .iter()
+            .enumerate()
+            .try_for_each(|(idx, t)| self.vocab.check_triple(*t, idx + 1))
     }
 
     /// Inserts (`insert`) or deletes (`!insert`) the triples of `batch`
-    /// in place and returns the *effective* batch: the triples that
+    /// in place and returns the *effective* batch — the triples that
     /// actually changed the database, in first-occurrence order, with
     /// repeats and no-ops (inserts of present, deletes of absent
-    /// triples) dropped. Applying the effective batch with the opposite
-    /// sign restores the database exactly.
+    /// triples) dropped — together with the number of distinct triples
+    /// in `batch`. Applying the effective batch with the opposite sign
+    /// restores the database exactly.
     ///
     /// The whole batch is validated first: a triple outside the
     /// vocabulary is rejected with [`GraphError::ForeignTriple`] (same
@@ -277,10 +256,12 @@ impl GraphDb {
     /// touched. Only the labels the effective batch names are written:
     /// per label the pairs are merged into `F^a` and, transposed, into
     /// `B^a` ([`BitMatrix::apply_sorted`]), so a batch costs
-    /// `O(Σ_{touched a} (nnz_a + |O_DB|))` word moves at worst — its
+    /// `O(Σ_{touched a} (nnz_a + r_a + |O_DB|/64))` word moves at worst,
+    /// where `r_a` is the label's non-empty row count if its matrix has
+    /// the ranked row index and `|O_DB|` if it has the dense one — its
     /// labels' arrays, not the `|Σ| × |O_DB|` rebuild of
     /// [`GraphDb::with_triples`], and not `O(|batch|)` either.
-    pub fn apply(&mut self, insert: bool, batch: &[Triple]) -> Result<Vec<Triple>, GraphError> {
+    pub fn apply(&mut self, insert: bool, batch: &[Triple]) -> Result<Applied, GraphError> {
         self.check_vocabulary(batch)?;
         let mut seen = BTreeSet::new();
         let effective: Vec<Triple> = batch
@@ -303,8 +284,21 @@ impl GraphDb {
         } else {
             self.n_triples -= effective.len();
         }
-        Ok(effective)
+        Ok(Applied {
+            effective,
+            distinct: seen.len(),
+        })
     }
+}
+
+/// What [`GraphDb::apply`] did with a batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Applied {
+    /// The triples that changed the database, in first-occurrence order.
+    pub effective: Vec<Triple>,
+    /// Number of distinct triples in the batch: the effective ones plus
+    /// the no-ops.
+    pub distinct: usize,
 }
 
 /// Incremental builder for [`GraphDb`].
@@ -312,6 +306,8 @@ impl GraphDb {
 pub struct GraphDbBuilder {
     vocab: Vocabulary,
     per_label: Vec<Vec<(u32, u32)>>,
+    /// Triples added so far, repeats included.
+    added: usize,
 }
 
 impl GraphDbBuilder {
@@ -347,8 +343,13 @@ impl GraphDbBuilder {
     /// Adds a triple with pre-interned identifiers.
     ///
     /// # Errors
-    /// Returns [`GraphError::LiteralSubject`] if `s` is a literal.
+    /// Returns [`GraphError::ForeignTriple`] if an id is outside the
+    /// vocabulary built so far (`index` is the triple's 1-based position
+    /// among those added to this builder), and
+    /// [`GraphError::LiteralSubject`] if `s` is a literal.
     pub fn add_triple_ids(&mut self, s: NodeId, p: LabelId, o: NodeId) -> Result<(), GraphError> {
+        self.vocab
+            .check_triple(Triple::new(s, p, o), self.added + 1)?;
         if self.vocab.node_kind(s) == NodeKind::Literal {
             return Err(GraphError::LiteralSubject(
                 self.vocab.node_name(s).to_owned(),
@@ -373,6 +374,7 @@ impl GraphDbBuilder {
     fn push_edge(&mut self, s: NodeId, p: LabelId, o: NodeId) {
         self.ensure_label(p);
         self.per_label[p as usize].push((s, o));
+        self.added += 1;
     }
 
     fn ensure_label(&mut self, p: LabelId) {
@@ -454,6 +456,40 @@ mod tests {
         assert!(matches!(err, GraphError::LiteralSubject(_)));
     }
 
+    /// `add_triple_ids` checks its ids against the vocabulary built so
+    /// far: a label, subject or object outside it is a `ForeignTriple`
+    /// at the triple's position among those added, not a silently
+    /// dropped label or a panic in `finish()`.
+    fn assert_foreign_ids_are_rejected(s: NodeId, p: LabelId, o: NodeId, term: &str) {
+        let mut b = GraphDbBuilder::new();
+        b.add_triple("a", "p", "b").unwrap();
+        let err = b.add_triple_ids(s, p, o).unwrap_err();
+        let GraphError::ForeignTriple { triple, index, .. } = &err else {
+            panic!("expected ForeignTriple, got {err:?}");
+        };
+        assert_eq!(*triple, Triple::new(s, p, o));
+        assert_eq!(*index, 2);
+        assert!(err.to_string().contains(term), "{err}");
+        let db = b.finish();
+        assert_eq!(db.num_triples(), 1);
+        assert_eq!(db.num_labels(), 1);
+    }
+
+    #[test]
+    fn add_triple_ids_rejects_a_label_outside_the_vocabulary() {
+        assert_foreign_ids_are_rejected(0, 1, 1, "(a, #1, b)");
+    }
+
+    #[test]
+    fn add_triple_ids_rejects_a_subject_outside_the_vocabulary() {
+        assert_foreign_ids_are_rejected(2, 0, 1, "(#2, p, b)");
+    }
+
+    #[test]
+    fn add_triple_ids_rejects_an_object_outside_the_vocabulary() {
+        assert_foreign_ids_are_rejected(0, 0, 9, "(a, p, #9)");
+    }
+
     #[test]
     fn duplicate_triples_are_stored_once() {
         let mut b = GraphDbBuilder::new();
@@ -512,10 +548,20 @@ mod tests {
         let all: Vec<Triple> = db.triples().collect();
         let (a, b) = (all[3], all[0]);
         let absent = Triple::new(a.o, a.p, a.s);
-        assert_eq!(db.apply(false, &[a, absent, b, a]).unwrap(), vec![a, b]);
+        let applied = |effective: Vec<Triple>, distinct| Applied {
+            effective,
+            distinct,
+        };
+        assert_eq!(
+            db.apply(false, &[a, absent, b, a]).unwrap(),
+            applied(vec![a, b], 3)
+        );
         assert_eq!(db.num_triples(), all.len() - 2);
         assert!(!db.contains_triple(a) && !db.contains_triple(b));
-        assert_eq!(db.apply(true, &[b, all[1], a]).unwrap(), vec![b, a]);
+        assert_eq!(
+            db.apply(true, &[b, all[1], a]).unwrap(),
+            applied(vec![b, a], 3)
+        );
         assert_eq!(db.triples().collect::<Vec<_>>(), all);
     }
 
@@ -525,7 +571,7 @@ mod tests {
         let before = db.memory_footprint();
         let directed = db.label_id("directed").unwrap();
         let batch: Vec<Triple> = db.triples().filter(|t| t.p == directed).collect();
-        let removed = db.apply(false, &batch).unwrap();
+        let removed = db.apply(false, &batch).unwrap().effective;
         assert_eq!(removed, batch);
         assert_eq!(
             db.memory_footprint(),

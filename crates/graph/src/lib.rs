@@ -39,7 +39,7 @@ mod vocab;
 #[cfg(test)]
 mod proptests;
 
-pub use db::{GraphDb, GraphDbBuilder, LabelStats, Triple};
+pub use db::{Applied, GraphDb, GraphDbBuilder, LabelStats, Triple};
 pub use ntriples::{parse_ntriples, write_ntriples};
 pub use view::{ChiFilter, GraphView, LabelPairs, LabelView, Neighbors, PrunedView};
 pub use vocab::{NodeKind, Vocabulary};
@@ -65,7 +65,8 @@ pub enum GraphError {
         message: String,
     },
     /// A triple mentions a node or label id outside the shared
-    /// vocabulary ([`GraphDb::with_triples`]): derived databases reuse
+    /// vocabulary ([`GraphDb::with_triples`], [`GraphDb::apply`],
+    /// [`GraphDbBuilder::add_triple_ids`]): derived databases reuse
     /// their parent's dictionary, so such a triple is inexpressible —
     /// usually a sign of a corrupt or misrouted update stream. Carries
     /// the offending terms (resolved against the vocabulary where the

@@ -17,6 +17,56 @@ fn arb_db() -> impl Strategy<Value = GraphDb> {
     })
 }
 
+/// Graphs over 128 nodes whose four labels get the triples in shares of
+/// 8:4:2:1, so that a label's matrices come with either row index: the
+/// ranked one below 8 non-empty rows (one in 16), the dense one above.
+fn arb_wide_db() -> impl Strategy<Value = GraphDb> {
+    proptest::collection::vec((0u32..128, 0u32..15, 0u32..128), 0..90).prop_map(|triples| {
+        let mut b = GraphDbBuilder::new();
+        for v in 0..128 {
+            b.add_node(&format!("n{v}"), crate::NodeKind::Iri).unwrap();
+        }
+        for p in 0..4 {
+            b.intern_label(&format!("p{p}"));
+        }
+        for (s, share, o) in triples {
+            let p = match share {
+                0..8 => 0,
+                8..12 => 1,
+                12..14 => 2,
+                _ => 3,
+            };
+            b.add_triple_ids(s, p, o).unwrap();
+        }
+        b.finish()
+    })
+}
+
+/// [`arb_wide_db`] builds matrices of both row indexes: per label and
+/// direction, fewer than one non-empty row in 16 is the ranked index.
+/// Prints the shares.
+#[test]
+fn wide_graphs_reach_both_indexes() {
+    let mut rng = proptest::test_runner::TestRng::deterministic("wide-db-coverage");
+    let dbs = arb_wide_db();
+    let (mut ranked, mut dense) = (0usize, 0usize);
+    for _ in 0..64 {
+        let db = dbs.generate(&mut rng);
+        for p in 0..db.num_labels() as u32 {
+            let stats = db.label_stats(p);
+            for rows in [stats.distinct_subjects, stats.distinct_objects] {
+                if rows * 16 < db.num_nodes() {
+                    ranked += 1;
+                } else {
+                    dense += 1;
+                }
+            }
+        }
+    }
+    println!("64 graphs: {ranked} ranked and {dense} dense label matrices");
+    assert!(ranked * 4 >= ranked + dense && dense * 4 >= ranked + dense);
+}
+
 /// Every reader of `db` agrees with `with_triples` of `model`.
 fn assert_equals_rebuild(db: &GraphDb, model: &BTreeSet<Triple>) {
     let triples: Vec<Triple> = model.iter().copied().collect();
@@ -48,15 +98,16 @@ fn assert_equals_rebuild(db: &GraphDb, model: &BTreeSet<Triple>) {
 
 proptest! {
     /// The oracle of the in-place mutation: after any sequence of
-    /// `apply` calls — with repeats and no-ops in the batches — the
-    /// store is indistinguishable from `with_triples` of the resulting
-    /// set, each call returns exactly the set difference it made, and a
+    /// `apply` calls — with repeats and no-ops in the batches, on labels
+    /// of either row index — the store is indistinguishable from
+    /// `with_triples` of the resulting set, each call returns exactly the
+    /// set difference it made and the batch's distinct count, and a
     /// batch holding a foreign triple is rejected whole.
     #[test]
     fn apply_sequences_equal_a_rebuild(
-        db in arb_db(),
+        db in arb_wide_db(),
         script in proptest::collection::vec(
-            (any::<bool>(), proptest::collection::vec((0u32..15, 0u32..4, 0u32..15), 0..25)),
+            (any::<bool>(), proptest::collection::vec((0u32..128, 0u32..4, 0u32..128), 0..25)),
             1..8,
         ),
         foreign_step in 0usize..8,
@@ -104,7 +155,9 @@ proptest! {
                     model.remove(t);
                 }
             }
-            let effective = db.apply(insert, &batch).unwrap();
+            let applied = db.apply(insert, &batch).unwrap();
+            prop_assert_eq!(applied.distinct, batch.iter().collect::<BTreeSet<_>>().len());
+            let effective = applied.effective;
             let expected: BTreeSet<Triple> = before.symmetric_difference(&model).copied().collect();
             prop_assert_eq!(effective.len(), expected.len(), "no repeats in the effective batch");
             prop_assert_eq!(effective.iter().copied().collect::<BTreeSet<_>>(), expected);

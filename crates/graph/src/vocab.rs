@@ -1,6 +1,6 @@
 //! Dictionary encoding of node names and edge labels.
 
-use crate::{GraphError, LabelId, NodeId};
+use crate::{GraphError, LabelId, NodeId, Triple};
 use std::collections::HashMap;
 
 /// Whether a node is a database object (IRI) or a literal value.
@@ -108,6 +108,36 @@ impl Vocabulary {
     /// The name of label `id`.
     pub fn label_name(&self, id: LabelId) -> &str {
         self.labels.name(id)
+    }
+
+    /// Rejects a triple that mentions a label or node outside the
+    /// vocabulary with [`GraphError::ForeignTriple`] at the 1-based
+    /// `index`.
+    pub(crate) fn check_triple(&self, t: Triple, index: usize) -> Result<(), GraphError> {
+        let n = self.num_nodes() as u32;
+        let labels = self.num_labels() as u32;
+        if t.p < labels && t.s < n && t.o < n {
+            return Ok(());
+        }
+        let node = |id: u32| {
+            if id < n {
+                self.node_name(id).to_owned()
+            } else {
+                format!("#{id}")
+            }
+        };
+        let predicate = if t.p < labels {
+            self.label_name(t.p).to_owned()
+        } else {
+            format!("#{}", t.p)
+        };
+        Err(GraphError::ForeignTriple {
+            triple: t,
+            subject: node(t.s),
+            predicate,
+            object: node(t.o),
+            index,
+        })
     }
 
     /// Number of interned nodes.

@@ -9,9 +9,11 @@ use dualsim::datagen::paper::{
 };
 use dualsim::datagen::workloads::lubm_queries;
 use dualsim::datagen::{generate_lubm, LubmConfig};
-use dualsim::engine::{required_triples, Engine, HashJoinEngine, NestedLoopEngine, ResultSet};
+use dualsim::engine::{required_triples, Engine, HashJoinEngine, NestedLoopEngine};
 use dualsim::graph::{GraphDb, GraphDbBuilder};
-use std::time::{Duration, Instant};
+
+mod common;
+use common::best_of_three;
 
 fn no_early_exit() -> SolverConfig {
     SolverConfig {
@@ -233,19 +235,6 @@ fn fig2b_pattern_against_fig1() {
 /// the database. Result sets are equal for all six.
 #[test]
 fn pruned_pipeline_beats_the_full_join_on_selective_lubm_queries() {
-    fn best_of_three(mut f: impl FnMut() -> ResultSet) -> (ResultSet, Duration) {
-        let mut best: Option<(ResultSet, Duration)> = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let results = f();
-            let elapsed = start.elapsed();
-            if best.as_ref().is_none_or(|(_, t)| elapsed < *t) {
-                best = Some((results, elapsed));
-            }
-        }
-        best.unwrap()
-    }
-
     let db = generate_lubm(&LubmConfig {
         universities: 30,
         seed: 1,

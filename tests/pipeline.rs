@@ -9,6 +9,9 @@ use dualsim::engine::{required_triples, Engine, HashJoinEngine, NestedLoopEngine
 use dualsim::graph::GraphDb;
 use dualsim::query::Query;
 
+mod common;
+use common::best_of_three;
+
 fn lubm() -> GraphDb {
     generate_lubm(&LubmConfig {
         universities: 3,
@@ -183,7 +186,9 @@ fn l0_l1_iteration_and_overapproximation_contrast() {
 
 /// Tables 4/5 qualitative claim: for the L1 shape, evaluating on the
 /// pruned database is cheaper than on the full database for the
-/// syntactic-order hash-join engine.
+/// syntactic-order hash-join engine. Best of three against best of
+/// three: one sample per side of a millisecond-scale join flips on a
+/// loaded machine.
 #[test]
 fn pruning_accelerates_the_hash_join_engine_on_l1() {
     let lubm = generate_lubm(&LubmConfig {
@@ -195,16 +200,32 @@ fn pruning_accelerates_the_hash_join_engine_on_l1() {
     let report = prune(&lubm, &l1.query, &cfg);
     let pruned = report.pruned_db(&lubm);
     let engine = HashJoinEngine;
-    let t0 = std::time::Instant::now();
-    let full_rs = engine.evaluate(&lubm, &l1.query);
-    let t_full = t0.elapsed();
-    let t1 = std::time::Instant::now();
-    let pruned_rs = engine.evaluate(&pruned, &l1.query);
-    let t_pruned = t1.elapsed();
+    let (full_rs, t_full) = best_of_three(|| engine.evaluate(&lubm, &l1.query));
+    let (pruned_rs, t_pruned) = best_of_three(|| engine.evaluate(&pruned, &l1.query));
     assert_eq!(full_rs, pruned_rs);
     assert!(
         t_pruned < t_full,
         "pruned evaluation ({t_pruned:?}) should beat full evaluation ({t_full:?})"
+    );
+}
+
+/// §5.1's memory accounting stays proportional to the edges on a graph
+/// of many small labels: 151 labels over 10k entities, where a dense
+/// `|O_DB| + 1` offset array per matrix alone would cost about 480 bytes
+/// per triple.
+#[test]
+fn many_small_labels_cost_their_edges_not_their_nodes() {
+    let db = generate_dbpedia(&DbpediaConfig {
+        entities: 10_000,
+        seed: 1,
+        ..DbpediaConfig::default()
+    });
+    let per_triple = db.memory_footprint() as f64 / db.num_triples() as f64;
+    assert!(
+        per_triple <= 64.0,
+        "{} bytes of adjacency for {} triples: {per_triple:.1} per triple",
+        db.memory_footprint(),
+        db.num_triples()
     );
 }
 
