@@ -321,7 +321,7 @@ impl BitVec {
     }
 
     /// Storage words (`u64` blocks) — the dense side of the χ-storage
-    /// accounting that `BENCH_chi.json` reports per backend.
+    /// accounting behind `SolveStats::chi_peak_words`.
     pub fn storage_words(&self) -> usize {
         self.blocks.len()
     }

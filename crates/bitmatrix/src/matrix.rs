@@ -752,7 +752,7 @@ impl BitMatrix {
     /// abstraction: `keep` and `probe` are [`ChiVec`]s of either
     /// backend. The probe order (ascending candidates of `keep`), the
     /// probe count and the removal list are identical to the dense
-    /// version (both run through [`BitMatrix::probe_kept_rows`]), so
+    /// version (both run through the same private probe loop), so
     /// solver work counters do not depend on the backend.
     pub fn retain_intersecting_chi(
         &self,

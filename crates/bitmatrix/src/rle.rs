@@ -163,8 +163,9 @@ impl RleBitVec {
     }
 
     /// Storage words in `u64` equivalents: one per run (a run is two
-    /// `u32`s) — the RLE side of the χ-storage accounting in
-    /// `BENCH_chi.json`. Compare with [`BitVec::storage_words`].
+    /// `u32`s) — the RLE side of the χ-storage accounting behind
+    /// `SolveStats::chi_peak_words`. Compare with
+    /// [`BitVec::storage_words`].
     pub fn storage_words(&self) -> usize {
         self.runs.len()
     }

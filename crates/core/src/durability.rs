@@ -264,8 +264,8 @@ impl DurabilityOptions {
     }
 }
 
-/// What [`recover`] reports about how it reconstructed the resident
-/// state.
+/// What [`IncrementalDualSim::recover`] reports about how it
+/// reconstructed the resident state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Epoch id of the snapshot recovery started from.

@@ -16,9 +16,8 @@
 //! construction. When nothing is armed the per-site cost is one
 //! thread-local flag read.
 //!
-//! This module exists for the chaos proptests, the CI chaos smoke, and
-//! `experiments incremental --chaos`; production callers never arm
-//! anything and pay (almost) nothing.
+//! This module exists for the chaos proptests; production callers never
+//! arm anything and pay (almost) nothing.
 
 use crate::errors::MaintainError;
 use std::cell::{Cell, RefCell};

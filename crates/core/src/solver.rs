@@ -80,7 +80,7 @@ pub enum FixpointMode {
     /// `u` from χ(source) walks `matrix.row(u)` once and decrements the
     /// support of the affected targets — O(degree) per removal, in the
     /// style of HHK removal counters. Reaches the identical largest
-    /// solution; see [`crate::delta`].
+    /// solution.
     DeltaCounting,
 }
 
@@ -188,11 +188,11 @@ pub struct SolverConfig {
     /// Record a rollback journal during maintenance epochs so an
     /// erroring batch can be aborted back to the exact pre-batch state.
     /// Journaling performs **zero** additional logical work (it only
-    /// appends undo records on mutations that already happen) — the
-    /// `journal_entries` gauge and `experiments incremental --chaos`
-    /// measure its wall-clock cost. Disabling it trades atomicity for
-    /// that constant factor: an erroring batch then poisons the engine
-    /// instead of rolling back. On by default.
+    /// appends undo records, counted by the `journal_entries` gauge, on
+    /// mutations that already happen), so its cost is a constant factor
+    /// of wall time. Disabling it trades atomicity for that factor: an
+    /// erroring batch then poisons the engine instead of rolling back.
+    /// On by default.
     pub journal: bool,
     /// Word-level kernel instantiation for the bit-vector/-matrix inner
     /// loops: portable scalar, 4×-unrolled, SIMD (AVX2 where the CPU
@@ -337,7 +337,8 @@ impl SolveStats {
     /// (the re-evaluation engine's costs) + support-counter increments
     /// and decrements (the delta engine's costs). One unit ≈ one CSR
     /// row visit or one counter touch, so the two engines are directly
-    /// comparable — this is what `BENCH_fixpoint.json` tracks.
+    /// comparable — this is what `benchmark/` reports as
+    /// `core.solver.work_ops` and `core.delta.work_ops`.
     pub fn work_ops(&self) -> usize {
         self.rows_ored
             + self.bits_probed

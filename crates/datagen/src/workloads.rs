@@ -303,9 +303,9 @@ pub fn all_queries() -> Vec<BenchQuery> {
 /// S4 joins two `rdf:type`-with-variable-object patterns — every typed
 /// entity stays a candidate for `?x`/`?y`, and the backward `rdf:type`
 /// rows of the class nodes span whole entity populations — against the
-/// broad `ub:memberOf` containment. Used by the kernel-backend
-/// ablation on the LUBM database (not part of [`all_queries`], so the
-/// paper-table benchmark documents are unaffected).
+/// broad `ub:memberOf` containment. Used by the `solve-sweep` workload
+/// of `benchmark/` on the LUBM database (not part of [`all_queries`],
+/// so the paper-table workload is unaffected).
 pub fn adversarial_queries() -> Vec<BenchQuery> {
     vec![q(
         "S4-dense-saturated",

@@ -2,12 +2,15 @@
 //! Sect. 5 must hold qualitatively at laptop scale.
 
 use dualsim::core::baseline::dual_simulation_ma;
-use dualsim::core::{build_sois, prune, solve, SolverConfig};
+use dualsim::core::{
+    build_sois, prune, solve, solve_query, ChiBackend, FixpointMode, IncrementalDualSim,
+    SlabBackend, Solution, SolverConfig,
+};
 use dualsim::datagen::workloads::{all_queries, dbsb_queries, lubm_queries, Dataset};
 use dualsim::datagen::{generate_dbpedia, generate_lubm, DbpediaConfig, LubmConfig};
 use dualsim::engine::{required_triples, Engine, HashJoinEngine, NestedLoopEngine};
-use dualsim::graph::GraphDb;
-use dualsim::query::Query;
+use dualsim::graph::{GraphDb, Triple};
+use dualsim::query::{parse, Query};
 
 mod common;
 use common::best_of_three;
@@ -17,6 +20,24 @@ fn lubm() -> GraphDb {
         universities: 3,
         seed: 7,
     })
+}
+
+/// LUBM at two universities: the scale of the deterministic work-counter
+/// gates below.
+fn small_lubm() -> GraphDb {
+    generate_lubm(&LubmConfig {
+        universities: 2,
+        seed: 7,
+    })
+}
+
+/// Solves `text` on `db` under `cfg`, one solution per union branch.
+fn solve_text(db: &GraphDb, text: &str, cfg: &SolverConfig) -> Vec<Solution> {
+    let query = parse(text).expect("query parses");
+    solve_query(db, &query, cfg)
+        .into_iter()
+        .map(|(_, solution)| solution)
+        .collect()
 }
 
 fn dbpedia() -> GraphDb {
@@ -66,7 +87,6 @@ fn pruning_is_sound_for_every_workload_query() {
 /// query, end to end on generated benchmark data.
 #[test]
 fn delta_fixpoint_matches_reevaluate_on_every_workload_query() {
-    use dualsim::core::{solve_query, FixpointMode};
     let lubm = lubm();
     let dbp = dbpedia();
     for bench in all_queries() {
@@ -248,4 +268,144 @@ fn ntriples_round_trip_on_generated_data() {
         v
     };
     assert_eq!(norm(a), norm(b));
+}
+
+/// Maintenance under deletions: every 40th triple of LUBM(2) leaves in
+/// four batches while L0 and L1 are maintained without early exit. Both
+/// fixpoint engines agree on χ after every batch, and the delta engine's
+/// persistent counters do at least 2× fewer work ops than re-evaluation
+/// over the whole stream. The counts are deterministic, so this is a
+/// regression gate, not a timing assertion.
+#[test]
+fn delta_maintenance_halves_the_work_of_reevaluation_under_deletions() {
+    let db = small_lubm();
+    let victims: Vec<Triple> = db.triples().step_by(40).collect();
+    let chunk = victims.len().div_ceil(4);
+    let queries: Vec<_> = lubm_queries()
+        .into_iter()
+        .filter(|b| ["L0", "L1"].contains(&b.id))
+        .collect();
+    assert_eq!(queries.len(), 2);
+    for bench in &queries {
+        let soi = build_sois(&db, &bench.query)
+            .pop()
+            .expect("L0 and L1 are union-free");
+        let mut runs = Vec::new();
+        for fixpoint in [FixpointMode::Reevaluate, FixpointMode::DeltaCounting] {
+            let cfg = SolverConfig {
+                fixpoint,
+                early_exit: false,
+                ..SolverConfig::default()
+            };
+            let mut inc = IncrementalDualSim::new(&db, soi.clone(), cfg);
+            let mut current = db.clone();
+            let mut ops = 0;
+            let mut chis = Vec::new();
+            for batch in victims.chunks(chunk) {
+                current.apply(false, batch).unwrap();
+                let before = inc.solution().stats.work_ops();
+                inc.apply_deletions(&current, batch).unwrap();
+                let after = inc.solution().stats.work_ops();
+                // Re-evaluation reports per-call stats, the persistent
+                // delta engine cumulative ones.
+                ops += match fixpoint {
+                    FixpointMode::Reevaluate => after,
+                    FixpointMode::DeltaCounting => after - before,
+                };
+                chis.push(inc.solution().chi.clone());
+            }
+            runs.push((ops, chis));
+        }
+        let ((reev_ops, reev_chis), (delta_ops, delta_chis)) = (&runs[0], &runs[1]);
+        assert_eq!(reev_chis, delta_chis, "{}: engines disagree", bench.id);
+        assert!(
+            2 * delta_ops <= *reev_ops,
+            "{}: delta {delta_ops} ops vs reevaluate {reev_ops} ops",
+            bench.id
+        );
+    }
+}
+
+/// RLE χ earns its keep on rare predicates: `ub:headOf` has one edge per
+/// department, so the candidate sets stay in the tens while |V| grows
+/// with the database. Under both engines RLE stores the same χ in
+/// strictly fewer peak words than dense, at identical logical work.
+#[test]
+fn rle_chi_stores_rare_predicate_candidates_in_fewer_words() {
+    let db = small_lubm();
+    for text in [
+        "{ ?h ub:headOf ?d . ?d ub:subOrganizationOf ?u }",
+        "{ ?d ub:subOrganizationOf ?u . ?h ub:headOf ?d }",
+    ] {
+        for fixpoint in [FixpointMode::Reevaluate, FixpointMode::DeltaCounting] {
+            let run = |chi_backend| {
+                let cfg = SolverConfig {
+                    fixpoint,
+                    chi_backend,
+                    ..SolverConfig::default()
+                };
+                solve_text(&db, text, &cfg)
+            };
+            let (dense, rle) = (run(ChiBackend::Dense), run(ChiBackend::Rle));
+            assert_eq!(dense.len(), rle.len(), "{text}");
+            for (d, r) in dense.iter().zip(&rle) {
+                assert_eq!(d.chi, r.chi, "{text} ({fixpoint:?})");
+                assert_eq!(
+                    d.stats.logical(),
+                    r.stats.logical(),
+                    "{text} ({fixpoint:?})"
+                );
+                assert!(
+                    r.stats.chi_peak_words < d.stats.chi_peak_words,
+                    "{text} ({fixpoint:?}): rle {} words vs dense {}",
+                    r.stats.chi_peak_words,
+                    d.stats.chi_peak_words
+                );
+            }
+        }
+    }
+}
+
+/// Sparse counter slabs earn their keep when rare-predicate seeds are
+/// forced: pinning `<uni0>` makes the seeded χ violate the inequalities,
+/// so the delta engine seeds and drains counters over a few supported
+/// columns against a dense cost of ⌈|V|/2⌉ words per slab. The sparse
+/// slab needs at least 4× fewer peak words, and `Auto` picks it.
+#[test]
+fn sparse_slabs_store_forced_rare_predicate_seeds_in_fewer_words() {
+    let db = small_lubm();
+    let text = "{ ?h ub:headOf ?d . ?d ub:subOrganizationOf <uni0> . ?h ub:worksFor ?d }";
+    let run = |slab_backend| {
+        let cfg = SolverConfig {
+            fixpoint: FixpointMode::DeltaCounting,
+            chi_backend: ChiBackend::Dense,
+            slab_backend,
+            ..SolverConfig::default()
+        };
+        let solutions = solve_text(&db, text, &cfg);
+        assert_eq!(solutions.len(), 1);
+        solutions.into_iter().next().unwrap()
+    };
+    let dense = run(SlabBackend::Dense);
+    let sparse = run(SlabBackend::Sparse);
+    let auto = run(SlabBackend::Auto);
+    assert!(
+        dense.stats.counter_inits > 0,
+        "the query must seed counters"
+    );
+    assert!(
+        dense.stats.counter_decrements > 0,
+        "the query must drain removals"
+    );
+    for other in [&sparse, &auto] {
+        assert_eq!(dense.chi, other.chi);
+        assert_eq!(dense.stats.logical(), other.stats.logical());
+    }
+    assert!(
+        4 * sparse.stats.slab_peak_words <= dense.stats.slab_peak_words,
+        "sparse {} words vs dense {}",
+        sparse.stats.slab_peak_words,
+        dense.stats.slab_peak_words
+    );
+    assert_eq!(auto.stats.slab_peak_words, sparse.stats.slab_peak_words);
 }
