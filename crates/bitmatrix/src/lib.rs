@@ -39,7 +39,7 @@ mod slab;
 pub use bitvec::{BitVec, Ones};
 pub use chi::{ChiBackend, ChiOnes, ChiRead, ChiVec, AUTO_RLE_DENSITY_DIVISOR};
 pub use kernels::KernelBackend;
-pub use matrix::{BitMatrix, RowSelector};
+pub use matrix::{BitMatrix, CsrError, RowSelector};
 pub use rle::{RleBitVec, RleOnes};
 pub use slab::{CounterSlab, SeededSlabState, SlabBackend};
 

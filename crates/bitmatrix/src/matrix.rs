@@ -357,6 +357,36 @@ struct TouchedRow {
     flips: bool,
 }
 
+/// Why [`BitMatrix::from_csr`] refused its parts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CsrError {
+    /// Entry `(row, col)`, at position `entry` of `targets`, has an index
+    /// `>= dim`.
+    OutOfBounds {
+        /// The entry's row.
+        row: u32,
+        /// The entry's column.
+        col: u32,
+        /// The entry's 0-based position in `targets`.
+        entry: usize,
+    },
+    /// Any other broken invariant, described.
+    Malformed(String),
+}
+
+impl std::fmt::Display for CsrError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CsrError::OutOfBounds { row, col, entry } => {
+                write!(f, "entry {entry} ({row}, {col}) out of bounds")
+            }
+            CsrError::Malformed(detail) => f.write_str(detail),
+        }
+    }
+}
+
+impl std::error::Error for CsrError {}
+
 impl BitMatrix {
     /// Builds a matrix from an edge list of `(row, col)` pairs.
     /// Duplicates are removed; the input order is irrelevant.
@@ -391,17 +421,120 @@ impl BitMatrix {
             summary.set((row[0] >> 32) as usize);
         }
         let nonempty = rows().count();
+        let mut end = 0u32;
+        let row_ends = rows().map(|row| {
+            end += row.len() as u32;
+            ((row[0] >> 32) as usize, end)
+        });
+        let targets = keys.iter().map(|&k| k as u32).collect();
+        BitMatrix::assemble(dim, summary, nonempty, row_ends, targets)
+    }
+
+    /// Builds a matrix from its compressed rows as a graph image stores
+    /// them: the ids of the non-empty rows, ascending; where each of those
+    /// rows ends in `targets`; and the concatenated column indices. The
+    /// parts are untrusted, so they are checked in `O(rows + nnz)`, with
+    /// no sort: every listed row id is below `dim` and greater than the
+    /// one before; every row is non-empty, its end above the previous end
+    /// (the first above 0), and the last end is `targets.len()`; within a
+    /// row the columns are strictly ascending and below `dim`. The row
+    /// index is picked by the rule [`BitMatrix::from_edges`] uses, so the
+    /// result equals `from_edges` of the same entries, and so does its
+    /// allocation when `targets` has no spare capacity.
+    ///
+    /// # Errors
+    /// [`CsrError::OutOfBounds`] names the first entry with an index
+    /// `>= dim`; [`CsrError::Malformed`] describes any other broken
+    /// invariant.
+    pub fn from_csr(
+        dim: usize,
+        rows: &[u32],
+        ends: &[u32],
+        targets: Vec<u32>,
+    ) -> Result<Self, CsrError> {
+        let malformed = |detail: String| Err(CsrError::Malformed(detail));
+        if rows.len() != ends.len() {
+            return malformed(format!(
+                "{} row ids but {} row ends",
+                rows.len(),
+                ends.len()
+            ));
+        }
+        if targets.len() > u32::MAX as usize {
+            return malformed(format!("{} entries overflow u32", targets.len()));
+        }
+        let mut start = 0usize;
+        for (k, (&row, &end)) in rows.iter().zip(ends).enumerate() {
+            let end = end as usize;
+            if end <= start || end > targets.len() {
+                return malformed(format!(
+                    "row {row} ends at {end}: not in ({start}, {}]",
+                    targets.len()
+                ));
+            }
+            if k > 0 && rows[k - 1] >= row {
+                return malformed(format!("row {row} listed after row {}", rows[k - 1]));
+            }
+            let run = &targets[start..end];
+            for (i, &col) in run.iter().enumerate() {
+                if row as usize >= dim || col as usize >= dim {
+                    return Err(CsrError::OutOfBounds {
+                        row,
+                        col,
+                        entry: start + i,
+                    });
+                }
+                if i > 0 && run[i - 1] >= col {
+                    return malformed(format!("row {row}: column {col} after {}", run[i - 1]));
+                }
+            }
+            start = end;
+        }
+        if start != targets.len() {
+            return malformed(format!(
+                "row ends cover {start} of {} entries",
+                targets.len()
+            ));
+        }
+        let mut summary = BitVec::zeros(dim);
+        for &row in rows {
+            summary.set(row as usize);
+        }
+        let row_ends = rows
+            .iter()
+            .zip(ends)
+            .map(|(&row, &end)| (row as usize, end));
+        Ok(BitMatrix::assemble(
+            dim,
+            summary,
+            rows.len(),
+            row_ends,
+            targets,
+        ))
+    }
+
+    /// Lays out a matrix from checked parts: `summary` marks the
+    /// `nonempty` rows, `row_ends` yields each of them ascending with
+    /// where it ends in `targets`. Picks the row index from the share of
+    /// non-empty rows and allocates every array at its exact size.
+    fn assemble(
+        dim: usize,
+        summary: BitVec,
+        nonempty: usize,
+        row_ends: impl Iterator<Item = (usize, u32)>,
+        targets: Vec<u32>,
+    ) -> Self {
         let ranked = nonempty * RANKED_BELOW_ONE_IN < dim;
         let entries = if ranked { nonempty } else { dim } + 1;
         let mut offsets = Vec::with_capacity(entries);
         let mut start = 0u32;
-        for row in rows() {
+        for (row, end) in row_ends {
             if !ranked {
                 // The empty rows before this one start where it does.
-                offsets.resize((row[0] >> 32) as usize, start);
+                offsets.resize(row, start);
             }
             offsets.push(start);
-            start += row.len() as u32;
+            start = end;
         }
         offsets.resize(entries, start);
         let rank = ranked.then(|| {
@@ -420,7 +553,7 @@ impl BitMatrix {
             dim,
             offsets,
             rank,
-            targets: keys.iter().map(|&k| k as u32).collect(),
+            targets,
             summary,
         }
     }
@@ -619,6 +752,25 @@ impl BitMatrix {
     /// Entry test `A(i, j) == 1`.
     pub fn get(&self, i: usize, j: usize) -> bool {
         self.row(i).binary_search(&(j as u32)).is_ok()
+    }
+
+    /// Whether both matrices hold the same entries, whatever their row
+    /// index kinds and spare capacity: equal summaries, equal
+    /// concatenated rows, and equal row boundaries — compared as whole
+    /// arrays where both indexes are of one kind.
+    pub fn same_entries(&self, other: &BitMatrix) -> bool {
+        if self.dim != other.dim
+            || self.summary != other.summary
+            || self.rows_segment(0, self.dim) != other.rows_segment(0, other.dim)
+        {
+            return false;
+        }
+        if self.rank.is_some() == other.rank.is_some() {
+            return self.offsets == other.offsets;
+        }
+        self.summary
+            .iter_ones()
+            .all(|i| self.row_len(i) == other.row_len(i))
     }
 
     /// Row summary vector: bit `i` set iff row `i` is non-empty
@@ -1058,6 +1210,133 @@ mod tests {
         assert_eq!(m.row_summary().to_indices(), vec![0, 64, 70]);
         assert_eq!(m.nonempty_rows(), 3);
         assert!(m.is_ranked());
+    }
+
+    /// The compressed rows of `m` in the parts [`BitMatrix::from_csr`]
+    /// takes.
+    fn csr_parts(m: &BitMatrix) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let rows: Vec<u32> = m.row_summary().iter_ones().map(|i| i as u32).collect();
+        let mut end = 0;
+        let ends = rows
+            .iter()
+            .map(|&i| {
+                end += m.row_len(i as usize) as u32;
+                end
+            })
+            .collect();
+        (rows, ends, m.rows_segment(0, m.dim()).to_vec())
+    }
+
+    #[test]
+    fn from_csr_equals_from_edges_with_either_index() {
+        let nine: Vec<(u32, u32)> = (0..9).map(|i| (i * 17, i)).collect();
+        let ten: Vec<(u32, u32)> = (0..10).map(|i| (i * 16, 159 - i)).collect();
+        for (dim, edges) in [(160, nine), (160, ten), (5, vec![]), (0, vec![])] {
+            let m = BitMatrix::from_edges(dim, &edges);
+            let (rows, ends, targets) = csr_parts(&m);
+            let back = BitMatrix::from_csr(dim, &rows, &ends, targets).unwrap();
+            assert_eq!(back.is_ranked(), m.is_ranked());
+            assert_eq!(back.heap_bytes(), m.heap_bytes());
+            assert_eq!(back.entries().collect::<Vec<_>>(), edges);
+            assert_eq!(back.row_summary(), m.row_summary());
+            for i in 0..dim {
+                assert_eq!(back.row(i), m.row(i));
+            }
+        }
+    }
+
+    #[test]
+    fn same_entries_ignores_the_index_kind_but_not_row_boundaries() {
+        let nine: Vec<(u32, u32)> = (0..9).map(|i| (i * 17, i)).collect();
+        let mut grown = BitMatrix::from_edges(160, &nine);
+        let more = [(1, 3), (2, 4), (3, 5)];
+        grown.apply_sorted(true, &more);
+        let mut all = nine.clone();
+        all.extend(more);
+        let rebuilt = BitMatrix::from_edges(160, &all);
+        assert!(grown.is_ranked() && !rebuilt.is_ranked());
+        assert!(grown.same_entries(&rebuilt) && rebuilt.same_entries(&grown));
+        assert!(!grown.same_entries(&BitMatrix::from_edges(160, &nine)));
+        // Equal summaries and equal concatenated rows, other boundaries.
+        for dim in [5, 160] {
+            let a = BitMatrix::from_edges(dim, &[(0, 1), (0, 2), (1, 3)]);
+            let b = BitMatrix::from_edges(dim, &[(0, 1), (1, 2), (1, 3)]);
+            assert_eq!(a.rows_segment(0, dim), b.rows_segment(0, dim));
+            assert!(!a.same_entries(&b));
+        }
+        let ranked_b = BitMatrix::from_edges(160, &[(0, 1), (1, 2), (1, 3)]);
+        let mut dense_a =
+            BitMatrix::from_edges(160, &(0..10).map(|i| (i * 16, 0)).collect::<Vec<_>>());
+        dense_a.apply_sorted(false, &(2..10).map(|i| (i * 16, 0)).collect::<Vec<_>>());
+        dense_a.apply_sorted(false, &[(0, 0), (16, 0)]);
+        dense_a.apply_sorted(true, &[(0, 1), (0, 2), (1, 3)]);
+        assert!(!dense_a.is_ranked() && ranked_b.is_ranked());
+        assert!(!dense_a.same_entries(&ranked_b));
+    }
+
+    #[test]
+    fn from_csr_rejects_every_broken_invariant() {
+        // Rows 0 -> {1, 2}, 1 -> {0}, 3 -> {3} of a 5 x 5 matrix.
+        let (rows, ends, targets) = csr_parts(&sample());
+        assert_eq!((&rows[..], &ends[..]), (&[0, 1, 3][..], &[2, 3, 4][..]));
+        let check = |rows: &[u32], ends: &[u32], targets: &[u32]| {
+            BitMatrix::from_csr(5, rows, ends, targets.to_vec()).unwrap_err()
+        };
+        let malformed = |e: CsrError| matches!(e, CsrError::Malformed(_));
+        assert!(
+            malformed(check(&rows, &ends, &[2, 1, 0, 3])),
+            "unsorted row"
+        );
+        assert!(
+            malformed(check(&rows, &ends, &[1, 1, 0, 3])),
+            "duplicate target"
+        );
+        assert!(
+            malformed(check(&[1, 0, 3], &ends, &targets)),
+            "rows out of order"
+        );
+        assert!(
+            malformed(check(&[0, 0, 3], &ends, &targets)),
+            "row listed twice"
+        );
+        assert!(
+            malformed(check(&[0, 1, 2, 3], &[2, 3, 3, 4], &targets)),
+            "empty row"
+        );
+        assert!(
+            malformed(check(&rows, &[3, 2, 4], &targets)),
+            "ends not monotone"
+        );
+        assert!(
+            malformed(check(&rows, &[2, 3, 3], &targets)),
+            "ends short of nnz"
+        );
+        assert!(
+            malformed(check(&rows, &[2, 3, 5], &targets)),
+            "ends past nnz"
+        );
+        assert!(
+            malformed(check(&rows, &[2, 4], &targets)),
+            "fewer ends than rows"
+        );
+        assert_eq!(
+            check(&rows, &ends, &[1, 2, 0, 5]),
+            CsrError::OutOfBounds {
+                row: 3,
+                col: 5,
+                entry: 3
+            }
+        );
+        assert_eq!(
+            check(&[0, 1, 7], &ends, &targets),
+            CsrError::OutOfBounds {
+                row: 7,
+                col: 3,
+                entry: 3
+            }
+        );
+        // u32 ends near the top of the range do not wrap into validity.
+        assert!(malformed(check(&rows, &[2, 3, u32::MAX], &targets)));
     }
 
     #[test]

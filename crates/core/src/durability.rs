@@ -13,11 +13,11 @@
 //!   failed append rolls the in-memory batch back with it. A batch is
 //!   committed **iff** its WAL record is fully on disk.
 //! * **Snapshots** — every N batches (or on demand) the full resident
-//!   state is serialized into `snapshot-<epoch>.snap`: graph triples
-//!   and vocabulary, the SOI, the solver configuration, χ under its
-//!   resolved backend, the support-counter slabs including
-//!   deferred/lazy-seed status and sparse-spill state, and the
-//!   cumulative `SolveStats` (robustness counters included). Snapshots
+//!   state is serialized into `snapshot-<epoch>.snap`: the graph image,
+//!   the SOI, the solver configuration, χ under its resolved backend,
+//!   the support-counter slabs including deferred/lazy-seed status and
+//!   sparse-spill state, and the cumulative `SolveStats` (robustness
+//!   counters included). Snapshots
 //!   are written to a temp file, fsynced, and atomically renamed; the
 //!   newest [`DurabilityOptions::keep_snapshots`] snapshots are
 //!   retained (older ones are garbage-collected after each successful
@@ -29,6 +29,21 @@
 //!   (deterministic, so the recovered χ and logical `SolveStats` are
 //!   bit-identical to an uninterrupted run), silently truncates a torn
 //!   final record, and resumes warm.
+//!
+//! The graph image (format version 3) is what [`GraphDb`] holds, not a
+//! triple list: a vocabulary block — its byte length, then the node
+//! names with their kind tags in id order and the label names in id
+//! order — followed by the count of non-empty labels and, per such label
+//! by ascending id, its forward matrix `F^a` as three length-prefixed
+//! `u32` arrays: the non-empty row ids ascending, the end of each row,
+//! and the concatenated column ids ([`ForwardCsr`]). The backward
+//! matrices are derived by transposition on load. A snapshot is
+//! untrusted input even when its CRC matches, so the image is rebuilt
+//! through [`GraphDb::from_forward_csr`], which checks every matrix in
+//! `O(rows + entries)` without sorting and reports a broken invariant as
+//! [`MaintainError::Corrupt`]. Version 2 (triple-list) snapshots have no
+//! reader. Within one session recovery, a vocabulary block identical to
+//! the first one decoded reuses that vocabulary.
 //!
 //! Every fallible I/O step carries a failpoint site
 //! ([`crate::failpoints::DURABILITY_SITES`]) so the chaos proptests
@@ -44,28 +59,35 @@ use crate::solver::{
 };
 use crate::MaintainError;
 use dualsim_bitmatrix::{ChiBackend, ChiVec, KernelBackend, SlabBackend};
-use dualsim_graph::{GraphDb, GraphDbBuilder, NodeKind, Triple};
+use dualsim_graph::{ForwardCsr, GraphDb, NodeKind, Triple, Vocabulary};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Magic + version framing of the two on-disk formats.
 const WAL_MAGIC: &[u8; 4] = b"DWAL";
 const SNAP_MAGIC: &[u8; 4] = b"DSNP";
-/// v2 added the kernel-backend tag to the encoded [`SolverConfig`].
-const FORMAT_VERSION: u32 = 2;
+/// v2 added the kernel-backend tag to the encoded [`SolverConfig`]; v3
+/// stores the graph as an image (vocabulary section plus per-label
+/// forward rows) instead of a triple list. Only the current version is
+/// read.
+const FORMAT_VERSION: u32 = 3;
 /// WAL header: magic + version.
 const WAL_HEADER_LEN: u64 = 8;
 /// Per-record frame: payload length (u32) + CRC32 of the payload (u32).
 const FRAME_LEN: usize = 8;
 
 // ---------------------------------------------------------------------
-// CRC32 (IEEE 802.3), table-driven — the container has no checksum
-// crate, and eight lines of const eval are cheaper than a dependency.
+// CRC32 (IEEE 802.3), slicing-by-8 — the container has no checksum crate,
+// and a const-evaluated table set is cheaper than a dependency. Table `k`
+// maps a byte to its CRC contribution `k` bytes further on, so eight
+// lookups fold eight input bytes at once: about four times the speed of
+// the byte-at-a-time loop on a 2 MB snapshot, with the same output.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -74,20 +96,44 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE) of `data` — the checksum framing every WAL record and
 /// snapshot payload.
 pub(crate) fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -133,6 +179,22 @@ impl Enc {
     fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
+    }
+    /// A length-prefixed `u32` array.
+    fn u32s(&mut self, v: &[u32]) {
+        self.usize(v.len());
+        self.buf.reserve(4 * v.len());
+        for &x in v {
+            self.u32(x);
+        }
+    }
+    /// A section prefixed by its byte length, written by `body`.
+    fn section(&mut self, body: impl FnOnce(&mut Enc)) {
+        let at = self.buf.len();
+        self.u64(0);
+        body(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 }
 
@@ -202,10 +264,34 @@ impl<'a> Dec<'a> {
     }
 
     fn str(&mut self) -> Result<String, MaintainError> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// A string borrowed from the payload.
+    fn str_ref(&mut self) -> Result<&'a str, MaintainError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|_| corrupt(format!("{}: invalid UTF-8 string", self.what)))
+    }
+
+    /// A length-prefixed `u32` array ([`Enc::u32s`]).
+    fn u32s(&mut self) -> Result<Vec<u32>, MaintainError> {
+        let n = self.usize()?;
+        let bytes = n
+            .checked_mul(4)
+            .ok_or_else(|| corrupt(format!("{}: array length {n} overflows", self.what)))?;
+        Ok(self
+            .take(bytes)?
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
+    }
+
+    /// The bytes of a length-prefixed section ([`Enc::section`]).
+    fn section(&mut self) -> Result<&'a [u8], MaintainError> {
+        let len = self.count()?;
+        self.take(len)
     }
 
     fn done(&self) -> Result<(), MaintainError> {
@@ -467,15 +553,9 @@ impl Durability {
     /// retained ones stay in place as recovery fallbacks.
     pub(crate) fn write_snapshot(&mut self, state: &SnapshotState<'_>) -> Result<(), MaintainError> {
         failpoints::check("snapshot-write")?;
-        let payload = encode_snapshot(state);
+        let frame = frame_snapshot(&encode_snapshot(state));
         let tmp = self.dir.join(format!("snapshot-{:020}.tmp", state.epoch));
         let final_path = snapshot_path(&self.dir, state.epoch);
-        let mut frame = Vec::with_capacity(16 + payload.len());
-        frame.extend_from_slice(SNAP_MAGIC);
-        frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
         let mut f = File::create(&tmp).map_err(|e| io_err("snapshot write", e))?;
         // Torn snapshot write: half the frame lands in the temp file,
         // which is never renamed — recovery ignores `.tmp` files, so a
@@ -708,39 +788,86 @@ fn decode_config(dec: &mut Dec<'_>) -> Result<SolverConfig, MaintainError> {
     })
 }
 
+/// The graph image: a length-prefixed vocabulary section (node names and
+/// kinds in id order, then label names), then per non-empty label, by
+/// ascending id, its forward matrix `F^a` as compressed rows (the
+/// three arrays of a [`ForwardCsr`]). `B^a` is not stored: decoding
+/// derives it.
 fn encode_db(enc: &mut Enc, db: &GraphDb) {
-    enc.usize(db.num_nodes());
-    for v in 0..db.num_nodes() {
-        enc.str(db.node_name(v as u32));
-        enc.u8(match db.node_kind(v as u32) {
-            NodeKind::Iri => 0,
-            NodeKind::Literal => 1,
-        });
-    }
-    enc.usize(db.num_labels());
-    for a in 0..db.num_labels() {
-        enc.str(db.label_name(a as u32));
-    }
-    enc.usize(db.num_triples());
-    for t in db.triples() {
-        enc.u32(t.s);
-        enc.u32(t.p);
-        enc.u32(t.o);
+    enc.section(|enc| {
+        enc.usize(db.num_nodes());
+        for v in 0..db.num_nodes() as u32 {
+            enc.str(db.node_name(v));
+            enc.u8(match db.node_kind(v) {
+                NodeKind::Iri => 0,
+                NodeKind::Literal => 1,
+            });
+        }
+        enc.usize(db.num_labels());
+        for a in 0..db.num_labels() as u32 {
+            enc.str(db.label_name(a));
+        }
+    });
+    let labels: Vec<u32> = (0..db.num_labels() as u32)
+        .filter(|&a| db.num_label_triples(a) > 0)
+        .collect();
+    enc.usize(labels.len());
+    // Written straight from the matrices: per-label temporaries allocated
+    // between the buffer's regrowths fragmented the heap, +5 MB peak RSS
+    // on `resident-durable` (measured on a 2-core x86-64 VM).
+    for a in labels {
+        let f = db.forward(a);
+        enc.u32(a);
+        enc.usize(f.nonempty_rows());
+        for i in f.row_summary().iter_ones() {
+            enc.u32(i as u32);
+        }
+        enc.usize(f.nonempty_rows());
+        let mut end = 0u32;
+        for i in f.row_summary().iter_ones() {
+            end += f.row_len(i) as u32;
+            enc.u32(end);
+        }
+        enc.u32s(f.rows_segment(0, f.dim()));
     }
 }
 
-fn decode_db(dec: &mut Dec<'_>) -> Result<GraphDb, MaintainError> {
-    let mut b = GraphDbBuilder::new();
+/// The first vocabulary section one recovery decoded, with its bytes.
+/// Every branch of a session was created over one shared vocabulary that
+/// never grows, so a later branch whose section is byte-identical reuses
+/// the same `Arc` instead of interning every name again.
+#[derive(Default)]
+pub(crate) struct SharedVocab {
+    first: Option<(Vec<u8>, Arc<Vocabulary>)>,
+}
+
+impl SharedVocab {
+    fn get(&mut self, section: &[u8]) -> Result<Arc<Vocabulary>, MaintainError> {
+        if let Some((bytes, vocab)) = &self.first {
+            if bytes.as_slice() == section {
+                return Ok(Arc::clone(vocab));
+            }
+        }
+        let vocab = Arc::new(decode_vocab(section)?);
+        self.first
+            .get_or_insert_with(|| (section.to_vec(), Arc::clone(&vocab)));
+        Ok(vocab)
+    }
+}
+
+fn decode_vocab(section: &[u8]) -> Result<Vocabulary, MaintainError> {
+    let mut dec = Dec::new(section, "vocabulary");
+    let mut vocab = Vocabulary::new();
     let nodes = dec.count()?;
     for i in 0..nodes {
-        let name = dec.str()?;
+        let name = dec.str_ref()?;
         let kind = match dec.u8()? {
             0 => NodeKind::Iri,
             1 => NodeKind::Literal,
             v => return Err(corrupt(format!("graph: bad node kind tag {v}"))),
         };
-        let id = b
-            .add_node(&name, kind)
+        let id = vocab
+            .intern_node(name, kind)
             .map_err(|e| corrupt(format!("graph: node {i}: {e}")))?;
         if id as usize != i {
             return Err(corrupt(format!(
@@ -750,21 +877,37 @@ fn decode_db(dec: &mut Dec<'_>) -> Result<GraphDb, MaintainError> {
     }
     let labels = dec.count()?;
     for i in 0..labels {
-        let name = dec.str()?;
-        let id = b.intern_label(&name);
+        let name = dec.str_ref()?;
+        let id = vocab.intern_label(name);
         if id as usize != i {
             return Err(corrupt(format!(
                 "graph: label {name:?} interned as {id}, expected {i}"
             )));
         }
     }
-    let triples = dec.count()?;
-    for _ in 0..triples {
-        let (s, p, o) = (dec.u32()?, dec.u32()?, dec.u32()?);
-        b.add_triple_ids(s, p, o)
-            .map_err(|e| corrupt(format!("graph: triple ({s},{p},{o}): {e}")))?;
+    dec.done()?;
+    Ok(vocab)
+}
+
+fn decode_db(dec: &mut Dec<'_>, shared: &mut SharedVocab) -> Result<GraphDb, MaintainError> {
+    let vocab = shared.get(dec.section()?)?;
+    let labels = dec.count()?;
+    let mut forward = Vec::with_capacity(labels);
+    for _ in 0..labels {
+        let label = dec.u32()?;
+        let rows = dec.u32s()?;
+        let ends = dec.u32s()?;
+        let targets = dec.u32s()?;
+        forward.push((
+            label,
+            ForwardCsr {
+                rows,
+                ends,
+                targets,
+            },
+        ));
     }
-    Ok(b.finish())
+    GraphDb::from_forward_csr(vocab, forward).map_err(|e| corrupt(format!("graph: {e}")))
 }
 
 fn encode_soi(enc: &mut Enc, soi: &Soi) {
@@ -1154,12 +1297,15 @@ fn encode_snapshot(state: &SnapshotState<'_>) -> Vec<u8> {
     enc.buf
 }
 
-fn decode_snapshot(payload: &[u8]) -> Result<DecodedSnapshot, MaintainError> {
+fn decode_snapshot(
+    payload: &[u8],
+    shared: &mut SharedVocab,
+) -> Result<DecodedSnapshot, MaintainError> {
     let mut dec = Dec::new(payload, "snapshot");
     let epoch = dec.u64()?;
     let meta = dec.str()?;
     let config = decode_config(&mut dec)?;
-    let db = decode_db(&mut dec)?;
+    let db = decode_db(&mut dec, shared)?;
     let soi = decode_soi(&mut dec)?;
     let warm = dec.bool()?;
     let (engine, solution) = match dec.u8()? {
@@ -1207,9 +1353,30 @@ fn decode_snapshot(payload: &[u8]) -> Result<DecodedSnapshot, MaintainError> {
     })
 }
 
-fn load_snapshot(path: &Path) -> Result<DecodedSnapshot, MaintainError> {
+/// A snapshot file's bytes: magic, version, payload length, CRC32 of the
+/// payload, payload.
+fn frame_snapshot(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(20 + payload.len());
+    frame.extend_from_slice(SNAP_MAGIC);
+    frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+fn load_snapshot(path: &Path, shared: &mut SharedVocab) -> Result<DecodedSnapshot, MaintainError> {
     let bytes = fs::read(path).map_err(|e| io_err("snapshot read", e))?;
-    let name = path.display();
+    parse_snapshot(&path.display().to_string(), &bytes, shared)
+}
+
+/// Checks the framing of a snapshot file's bytes ([`frame_snapshot`])
+/// and decodes the payload.
+fn parse_snapshot(
+    name: &str,
+    bytes: &[u8],
+    shared: &mut SharedVocab,
+) -> Result<DecodedSnapshot, MaintainError> {
     if bytes.len() < 16 {
         return Err(corrupt(format!("{name}: shorter than the header")));
     }
@@ -1218,14 +1385,16 @@ fn load_snapshot(path: &Path) -> Result<DecodedSnapshot, MaintainError> {
     }
     let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
     if version != FORMAT_VERSION {
-        return Err(corrupt(format!("{name}: unsupported version {version}")));
+        return Err(corrupt(format!(
+            "{name}: unsupported version {version} (this build reads version {FORMAT_VERSION} only)"
+        )));
     }
     let len = u64::from_le_bytes([
         bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15],
     ]);
     let Some(payload) = usize::try_from(len)
         .ok()
-        .and_then(|len| bytes.get(20..20 + len))
+        .and_then(|len| bytes.get(20..20usize.checked_add(len)?))
     else {
         return Err(corrupt(format!("{name}: truncated payload")));
     };
@@ -1236,7 +1405,7 @@ fn load_snapshot(path: &Path) -> Result<DecodedSnapshot, MaintainError> {
     if crc32(payload) != crc {
         return Err(corrupt(format!("{name}: checksum mismatch")));
     }
-    decode_snapshot(payload)
+    decode_snapshot(payload, shared)
 }
 
 // ---------------------------------------------------------------------
@@ -1366,8 +1535,12 @@ fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, MaintainError> {
 /// paths, and re-attaches the WAL for further durable updates. The
 /// replay is deterministic, so the recovered χ and logical
 /// [`SolveStats`] are bit-identical to an uninterrupted run over the
-/// same committed prefix.
-pub(crate) fn recover(opts: &DurabilityOptions) -> Result<Recovered, MaintainError> {
+/// same committed prefix. A snapshot whose vocabulary section equals the
+/// one `shared` holds reuses that vocabulary.
+pub(crate) fn recover(
+    opts: &DurabilityOptions,
+    shared: &mut SharedVocab,
+) -> Result<Recovered, MaintainError> {
     let scan = scan_wal(&wal_path(&opts.dir))?;
     let torn_bytes = scan.file_len.saturating_sub(scan.valid_end);
     let snapshots = list_snapshots(&opts.dir)?;
@@ -1380,7 +1553,7 @@ pub(crate) fn recover(opts: &DurabilityOptions) -> Result<Recovered, MaintainErr
     let mut skipped = 0usize;
     let mut last_err: Option<MaintainError> = None;
     for (snap_epoch, path) in &snapshots {
-        let decoded = match load_snapshot(path) {
+        let decoded = match load_snapshot(path, shared) {
             Ok(d) => d,
             Err(e) => {
                 skipped += 1;
@@ -1594,37 +1767,438 @@ mod tests {
         }
     }
 
-    /// A snapshot graph whose triple section names an id outside its own
-    /// node or label section is corrupt: decoding reports it instead of
+    /// The byte-at-a-time CRC32 the slicing-by-8 loop must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        let mut rng = proptest::test_runner::TestRng::deterministic("crc32-slicing");
+        let data: Vec<u8> = (0..4096 + 8).map(|_| rng.next_u64() as u8).collect();
+        for start in 0..8 {
+            for len in (0..64).chain((0..64).map(|_| (rng.next_u64() % 4097) as usize)) {
+                let bytes = &data[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// A graph over 42 nodes with a literal-object label and labels of
+    /// each row index: `p` fills most rows (dense index), `q` two of them
+    /// (ranked), `r` none.
+    fn image_db() -> GraphDb {
+        let mut b = dualsim_graph::GraphDbBuilder::new();
+        for v in 0..40 {
+            b.add_node(&format!("n{v}"), NodeKind::Iri).unwrap();
+        }
+        for v in 0..39 {
+            b.add_triple(&format!("n{v}"), "p", &format!("n{}", v + 1))
+                .unwrap();
+        }
+        for o in [0, 9, 30] {
+            b.add_triple("n5", "p", &format!("n{o}")).unwrap();
+        }
+        b.add_triple("n2", "q", "n7").unwrap();
+        b.add_triple("n11", "q", "n3").unwrap();
+        b.intern_label("r");
+        b.add_attribute("n0", "attr", "42").unwrap();
+        b.add_attribute("n1", "attr", "7").unwrap();
+        b.finish()
+    }
+
+    /// The compressed rows of `db`'s forward matrix for `label`, read
+    /// through the public row accessors.
+    fn forward_csr(db: &GraphDb, label: u32) -> ForwardCsr {
+        let rows: Vec<u32> = (0..db.num_nodes() as u32)
+            .filter(|&v| !db.out_neighbors(v, label).is_empty())
+            .collect();
+        let mut end = 0u32;
+        let mut targets = Vec::new();
+        let ends = rows
+            .iter()
+            .map(|&v| {
+                targets.extend_from_slice(db.out_neighbors(v, label));
+                end += db.out_neighbors(v, label).len() as u32;
+                end
+            })
+            .collect();
+        ForwardCsr {
+            rows,
+            ends,
+            targets,
+        }
+    }
+
+    /// A graph image spelled out field by field, so that a test can break
+    /// one invariant at a time and encode the result.
+    #[derive(Clone)]
+    struct Image {
+        nodes: Vec<(String, u8)>,
+        labels: Vec<String>,
+        forward: Vec<(u32, ForwardCsr)>,
+        /// Bytes appended inside the vocabulary section.
+        vocab_tail: Vec<u8>,
+    }
+
+    impl Image {
+        fn of(db: &GraphDb) -> Image {
+            Image {
+                nodes: (0..db.num_nodes() as u32)
+                    .map(|v| {
+                        let kind = u8::from(db.node_kind(v) == NodeKind::Literal);
+                        (db.node_name(v).to_owned(), kind)
+                    })
+                    .collect(),
+                labels: (0..db.num_labels() as u32)
+                    .map(|a| db.label_name(a).to_owned())
+                    .collect(),
+                forward: (0..db.num_labels() as u32)
+                    .filter(|&a| db.num_label_triples(a) > 0)
+                    .map(|a| (a, forward_csr(db, a)))
+                    .collect(),
+                vocab_tail: Vec::new(),
+            }
+        }
+
+        /// The v3 graph section, written without `encode_db`.
+        fn encode(&self) -> Vec<u8> {
+            let mut vocab = Enc::default();
+            vocab.usize(self.nodes.len());
+            for (name, kind) in &self.nodes {
+                vocab.str(name);
+                vocab.u8(*kind);
+            }
+            vocab.usize(self.labels.len());
+            for name in &self.labels {
+                vocab.str(name);
+            }
+            vocab.buf.extend_from_slice(&self.vocab_tail);
+            let mut enc = Enc::default();
+            enc.usize(vocab.buf.len());
+            enc.buf.extend_from_slice(&vocab.buf);
+            enc.usize(self.forward.len());
+            for (label, csr) in &self.forward {
+                enc.u32(*label);
+                for part in [&csr.rows, &csr.ends, &csr.targets] {
+                    enc.usize(part.len());
+                    for &x in part {
+                        enc.u32(x);
+                    }
+                }
+            }
+            enc.buf
+        }
+
+        fn csr(&mut self, label: &str) -> &mut ForwardCsr {
+            let id = self.labels.iter().position(|l| l == label).unwrap() as u32;
+            &mut self.forward.iter_mut().find(|(a, _)| *a == id).unwrap().1
+        }
+    }
+
+    /// A snapshot of `db` with a solved query, as a file's bytes, and the
+    /// byte range its graph section takes in the payload.
+    fn snapshot_of(db: &GraphDb) -> (Vec<u8>, std::ops::Range<usize>) {
+        let query = dualsim_query::parse("{ ?x p ?y . ?y q ?z }").unwrap();
+        let soi = crate::build_sois(db, &query).remove(0);
+        let config = SolverConfig::default();
+        let solution = crate::solve(db, &soi, &config);
+        let payload = encode_snapshot(&SnapshotState {
+            epoch: 0,
+            meta: "meta",
+            config: &config,
+            db,
+            soi: &soi,
+            warm: false,
+            engine: None,
+            solution: Some((&solution.chi, &solution.stats)),
+        });
+        let mut dec = Dec::new(&payload, "test");
+        dec.u64().unwrap();
+        dec.str().unwrap();
+        decode_config(&mut dec).unwrap();
+        let start = dec.pos;
+        decode_db(&mut dec, &mut SharedVocab::default()).unwrap();
+        (payload.clone(), start..dec.pos)
+    }
+
+    /// The snapshot of [`image_db`] with its graph section replaced by
+    /// `graph` and the CRC recomputed, parsed.
+    fn parse_with_graph(graph: &[u8]) -> Result<DecodedSnapshot, MaintainError> {
+        let (payload, range) = snapshot_of(&image_db());
+        let mut spliced = payload[..range.start].to_vec();
+        spliced.extend_from_slice(graph);
+        spliced.extend_from_slice(&payload[range.end..]);
+        parse_snapshot(
+            "test",
+            &frame_snapshot(&spliced),
+            &mut SharedVocab::default(),
+        )
+    }
+
+    fn corrupt_detail(result: Result<DecodedSnapshot, MaintainError>) -> String {
+        match result {
+            Err(MaintainError::Corrupt { detail }) => detail,
+            Err(other) => panic!("expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("expected Corrupt, got a decoded snapshot"),
+        }
+    }
+
+    #[test]
+    fn the_graph_section_is_the_documented_image() {
+        let db = image_db();
+        let (payload, range) = snapshot_of(&db);
+        assert_eq!(payload[range].to_vec(), Image::of(&db).encode());
+        let decoded = parse_with_graph(&Image::of(&db).encode()).unwrap();
+        assert!(decoded.db.triples().eq(db.triples()));
+    }
+
+    /// A snapshot graph that names an id outside its own node or label
+    /// section is corrupt: decoding reports the triple instead of
     /// dropping the label or panicking.
     #[test]
     fn graph_triples_outside_the_vocabulary_are_corrupt() {
-        let encode = |(s, p, o): (u32, u32, u32)| {
-            let mut enc = Enc::default();
-            enc.usize(2);
-            for name in ["a", "b"] {
-                enc.str(name);
-                enc.u8(0);
-            }
-            enc.usize(1);
-            enc.str("p");
-            enc.usize(1);
-            for id in [s, p, o] {
-                enc.u32(id);
-            }
-            enc.buf
-        };
-        let db = decode_db(&mut Dec::new(&encode((0, 0, 1)), "test")).unwrap();
-        assert_eq!(db.num_triples(), 1);
-        for foreign in [(0, 1, 1), (2, 0, 1), (0, 0, 2)] {
-            let bytes = encode(foreign);
-            match decode_db(&mut Dec::new(&bytes, "test")) {
-                Err(MaintainError::Corrupt { detail }) => {
-                    assert!(detail.contains("outside the shared vocabulary"), "{detail}");
+        let db = image_db();
+        let n = db.num_nodes() as u32;
+        let mut target = Image::of(&db);
+        *target.csr("p").targets.last_mut().unwrap() = n;
+        let mut row = Image::of(&db);
+        *row.csr("q").rows.last_mut().unwrap() = n + 3;
+        let mut label = Image::of(&db);
+        label.forward.last_mut().unwrap().0 = db.num_labels() as u32;
+        for image in [target, row, label] {
+            let detail = corrupt_detail(parse_with_graph(&image.encode()));
+            assert!(detail.contains("outside the shared vocabulary"), "{detail}");
+        }
+    }
+
+    /// Images that pass the CRC but break one invariant each are
+    /// `Corrupt`, never a panic.
+    #[test]
+    fn images_that_break_one_invariant_are_corrupt() {
+        let db = image_db();
+        let base = Image::of(&db);
+        let literal = db.node_id("42").unwrap();
+        type Break = fn(&mut Image, u32);
+        let cases: [(&str, Break, &str); 16] = [
+            (
+                "unsorted row",
+                |i, _| i.csr("p").targets.swap(5, 6),
+                "column",
+            ),
+            (
+                "duplicate target",
+                |i, _| i.csr("p").targets[6] = i.csr("p").targets[5],
+                "column",
+            ),
+            (
+                "target past num_nodes",
+                |i, _| i.csr("q").targets[0] = u32::MAX,
+                "outside",
+            ),
+            (
+                "row past num_nodes",
+                |i, _| *i.csr("attr").rows.last_mut().unwrap() = 40_000,
+                "outside",
+            ),
+            (
+                "rows out of order",
+                |i, _| i.csr("q").rows.swap(0, 1),
+                "listed after",
+            ),
+            (
+                "row listed twice",
+                |i, _| i.csr("q").rows[1] = i.csr("q").rows[0],
+                "listed after",
+            ),
+            (
+                "empty row listed",
+                |i, _| {
+                    let csr = i.csr("q");
+                    csr.rows.insert(1, 5);
+                    csr.ends.insert(1, csr.ends[0]);
+                },
+                "ends at",
+            ),
+            (
+                "ends not monotone",
+                |i, _| i.csr("p").ends.swap(3, 4),
+                "ends at",
+            ),
+            (
+                "ends short of nnz",
+                |i, _| i.csr("p").targets.push(39),
+                "cover",
+            ),
+            (
+                "ends past nnz",
+                |i, _| *i.csr("p").ends.last_mut().unwrap() += 1,
+                "ends at",
+            ),
+            (
+                "a literal subject",
+                |i, lit| *i.csr("q").rows.last_mut().unwrap() = lit,
+                "subject position",
+            ),
+            (
+                "label past num_labels",
+                |i, _| i.forward.last_mut().unwrap().0 = 9,
+                "outside",
+            ),
+            (
+                "labels out of order",
+                |i, _| i.forward.swap(0, 1),
+                "out of order",
+            ),
+            (
+                "a label listed without rows",
+                |i, _| i.forward.insert(2, (2, ForwardCsr::default())),
+                "without rows",
+            ),
+            ("a node kind tag", |i, _| i.nodes[3].1 = 2, "node kind"),
+            (
+                "trailing bytes in the vocabulary",
+                |i, _| i.vocab_tail.push(0),
+                "trailing bytes",
+            ),
+        ];
+        for (what, break_it, expected) in cases {
+            let mut image = base.clone();
+            break_it(&mut image, literal);
+            let detail = corrupt_detail(parse_with_graph(&image.encode()));
+            assert!(detail.contains(expected), "{what}: {detail}");
+        }
+        let (mut payload, _) = snapshot_of(&db);
+        payload.push(0);
+        let framed = frame_snapshot(&payload);
+        let detail = corrupt_detail(parse_snapshot("test", &framed, &mut SharedVocab::default()));
+        assert!(detail.contains("trailing bytes"), "{detail}");
+    }
+
+    /// Random words written into the graph section of a resealed
+    /// snapshot decode to a consistent graph or to `Corrupt`, never to a
+    /// panic.
+    #[test]
+    fn fuzzed_image_words_decode_or_are_corrupt() {
+        let (payload, range) = snapshot_of(&image_db());
+        let mut rng = proptest::test_runner::TestRng::deterministic("image-fuzz");
+        for _ in 0..2000 {
+            let mut bytes = payload.clone();
+            let at = range.start + (rng.next_u64() as usize) % (range.len() - 4);
+            let word = match rng.next_u64() % 3 {
+                0 => (rng.next_u64() % 64) as u32,
+                1 => u32::MAX - (rng.next_u64() % 4) as u32,
+                _ => rng.next_u64() as u32,
+            };
+            bytes[at..at + 4].copy_from_slice(&word.to_le_bytes());
+            match parse_snapshot("fuzz", &frame_snapshot(&bytes), &mut SharedVocab::default()) {
+                Ok(decoded) => {
+                    let triples: Vec<Triple> = decoded.db.triples().collect();
+                    assert_eq!(triples.len(), decoded.db.num_triples());
+                    let rebuilt = decoded.db.with_triples(&triples).unwrap();
+                    assert_eq!(rebuilt.memory_footprint(), decoded.db.memory_footprint());
                 }
-                other => panic!("{foreign:?}: expected Corrupt, got {other:?}"),
+                Err(MaintainError::Corrupt { .. }) => {}
+                Err(other) => panic!("expected Corrupt, got {other:?}"),
             }
         }
+    }
+
+    /// Graphs over 120 IRIs and 8 literals, whose five labels get the
+    /// triples in shares of 8:4:2:1:0: per direction, a label's matrix
+    /// has the dense row index, the ranked one (below one non-empty row
+    /// in 16), or no entries at all. Objects may be literals.
+    fn arb_image_db() -> impl proptest::strategy::Strategy<Value = GraphDb> {
+        use proptest::strategy::Strategy;
+        proptest::collection::vec((0u32..120, 0u32..15, 0u32..128), 0..150).prop_map(|triples| {
+            let mut b = dualsim_graph::GraphDbBuilder::new();
+            for v in 0..128 {
+                let kind = if v < 120 {
+                    NodeKind::Iri
+                } else {
+                    NodeKind::Literal
+                };
+                b.add_node(&format!("v{v}"), kind).unwrap();
+            }
+            for p in 0..5 {
+                b.intern_label(&format!("p{p}"));
+            }
+            for (s, share, o) in triples {
+                let p = match share {
+                    0..8 => 0,
+                    8..12 => 1,
+                    12..14 => 2,
+                    _ => 3,
+                };
+                b.add_triple_ids(s, p, o).unwrap();
+            }
+            b.finish()
+        })
+    }
+
+    proptest::proptest! {
+        /// A decoded image equals `with_triples` of the same triples on
+        /// every reader, memory accounting included.
+        #[test]
+        fn decoded_images_equal_with_triples(db in arb_image_db()) {
+            let mut enc = Enc::default();
+            encode_db(&mut enc, &db);
+            let mut dec = Dec::new(&enc.buf, "test");
+            let image = decode_db(&mut dec, &mut SharedVocab::default()).unwrap();
+            dec.done().unwrap();
+            let triples: Vec<Triple> = db.triples().collect();
+            let rebuilt = db.with_triples(&triples).unwrap();
+            proptest::prop_assert!(image.triples().eq(rebuilt.triples()));
+            proptest::prop_assert_eq!(image.num_triples(), rebuilt.num_triples());
+            proptest::prop_assert_eq!(image.num_nodes(), rebuilt.num_nodes());
+            proptest::prop_assert_eq!(image.num_labels(), rebuilt.num_labels());
+            proptest::prop_assert_eq!(image.memory_footprint(), rebuilt.memory_footprint());
+            for v in 0..image.num_nodes() as u32 {
+                proptest::prop_assert_eq!(image.node_name(v), rebuilt.node_name(v));
+                proptest::prop_assert_eq!(image.node_kind(v), rebuilt.node_kind(v));
+            }
+            for a in 0..image.num_labels() as u32 {
+                proptest::prop_assert_eq!(image.label_name(a), rebuilt.label_name(a));
+                proptest::prop_assert_eq!(image.label_memory(a), rebuilt.label_memory(a));
+                proptest::prop_assert_eq!(image.label_stats(a), rebuilt.label_stats(a));
+                proptest::prop_assert_eq!(image.f_summary(a), rebuilt.f_summary(a));
+                proptest::prop_assert_eq!(image.b_summary(a), rebuilt.b_summary(a));
+                proptest::prop_assert!(image.label_pairs(a).eq(rebuilt.label_pairs(a)));
+                for v in 0..image.num_nodes() as u32 {
+                    proptest::prop_assert_eq!(image.out_neighbors(v, a), rebuilt.out_neighbors(v, a));
+                    proptest::prop_assert_eq!(image.in_neighbors(v, a), rebuilt.in_neighbors(v, a));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn branches_with_one_vocabulary_section_share_one_decoded_copy() {
+        let db = image_db();
+        let mut enc = Enc::default();
+        encode_db(&mut enc, &db);
+        let mut shared = SharedVocab::default();
+        let first = decode_db(&mut Dec::new(&enc.buf, "test"), &mut shared).unwrap();
+        let second = decode_db(&mut Dec::new(&enc.buf, "test"), &mut shared).unwrap();
+        assert!(Arc::ptr_eq(first.vocab(), second.vocab()));
+        // Another vocabulary decodes on its own and leaves the first kept.
+        let mut other = Image::of(&db);
+        other.nodes[0].0 = "renamed".into();
+        let third = decode_db(&mut Dec::new(&other.encode(), "test"), &mut shared).unwrap();
+        assert!(!Arc::ptr_eq(first.vocab(), third.vocab()));
+        assert_eq!(third.node_name(0), "renamed");
+        assert!(third.triples().eq(db.triples()));
+        let fourth = decode_db(&mut Dec::new(&enc.buf, "test"), &mut shared).unwrap();
+        assert!(Arc::ptr_eq(first.vocab(), fourth.vocab()));
     }
 
     #[test]

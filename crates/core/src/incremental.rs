@@ -140,7 +140,7 @@ impl IncrementalDualSim {
     /// [`MaintainError::Corrupt`] if no snapshot passes validation or
     /// the WAL cannot extend any verified snapshot gap-free.
     pub fn recover(opts: &DurabilityOptions) -> Result<Recovered, MaintainError> {
-        durability::recover(opts)
+        durability::recover(opts, &mut durability::SharedVocab::default())
     }
 
     /// Rebuilds an instance from decoded snapshot state (the recovery

@@ -39,7 +39,7 @@
 //!   [`QuerySession::recover`] recovers every branch independently,
 //!   quarantining unrecoverable queries instead of failing the session.
 
-use crate::durability::DurabilityOptions;
+use crate::durability::{self, DurabilityOptions, SharedVocab};
 use crate::errors::SessionError;
 use crate::failpoints;
 use crate::incremental::IncrementalDualSim;
@@ -579,11 +579,12 @@ impl QuerySession {
     }
 
     /// Recovers a durable session from its root directory: every
-    /// `query-<name>/branch-<i>` directory is recovered independently
-    /// through [`IncrementalDualSim::recover`]. The first fully
-    /// recovered query (in name order — the fan-out order, so it is
-    /// the furthest-committed one after a mid-fan-out crash) defines
-    /// the session graph; queries lagging it come back `Degraded`
+    /// `query-<name>/branch-<i>` directory is recovered independently,
+    /// as [`IncrementalDualSim::recover`] does, except that branches
+    /// whose snapshots carry the same vocabulary share one decoded copy.
+    /// The first fully recovered query (in name order — the fan-out
+    /// order, so it is the furthest-committed one after a mid-fan-out
+    /// crash) defines the session graph; queries lagging it come back `Degraded`
     /// (stale-serving, healed by rebuild on the next batch), and
     /// queries with unrecoverable branches come back `Quarantined`
     /// instead of failing the session.
@@ -592,7 +593,8 @@ impl QuerySession {
     ///
     /// [`SessionError::Recovery`] if `opts` has no durability root, the
     /// root has no query directories, or no query recovers fully (there
-    /// is then no graph to serve against).
+    /// is then no graph to serve against; the detail names the first
+    /// query's failure).
     pub fn recover(opts: SessionOptions) -> Result<SessionRecovery, SessionError> {
         let sd = opts
             .durability
@@ -607,125 +609,71 @@ impl QuerySession {
             });
         }
 
-        struct BranchSet {
-            sims: Vec<IncrementalDualSim>,
-            db: Option<GraphDb>,
-            text: String,
-            records_replayed: usize,
-            snapshots_skipped: usize,
-            failure: Option<String>,
-            complete: bool,
-        }
-        let mut recovered: BTreeMap<String, BranchSet> = BTreeMap::new();
-        for name in &names {
-            let dir = query_dir(&sd.root, name);
-            let (branch_count, scan_failure) = match scan_branch_dirs(&dir) {
-                Ok(0) => (0, Some(format!("{}: no branch-* directories", dir.display()))),
-                Ok(n) => (n, None),
-                Err(e) => (0, Some(e.to_string())),
+        // The session graph is the first fully recovered query's, in name
+        // order. Every later query is compared with it as soon as it has
+        // recovered, and its own graph is dropped then.
+        let mut vocab = SharedVocab::default();
+        let mut canonical: Option<GraphDb> = None;
+        let mut first_failure: Option<String> = None;
+        let mut queries = Vec::with_capacity(names.len());
+        for name in names {
+            let set = recover_branches(&sd, &name, &mut vocab);
+            let recovered = QueryRecovery::Recovered {
+                records_replayed: set.records_replayed,
+                snapshots_skipped: set.snapshots_skipped,
             };
-            let mut set = BranchSet {
-                sims: Vec::new(),
-                db: None,
-                text: String::new(),
-                records_replayed: 0,
-                snapshots_skipped: 0,
-                failure: scan_failure,
-                complete: branch_count > 0,
-            };
-            for i in 0..branch_count {
-                let bopts = sd.branch_opts(name, i, "");
-                match IncrementalDualSim::recover(&bopts) {
-                    Ok(rec) => {
-                        // Branches of one query must agree on the graph
-                        // they reflect (their epochs may differ — undo
-                        // histories are per branch).
-                        if let Some(db) = &set.db {
-                            if !same_triples(db, &rec.db) {
-                                set.complete = false;
-                                set.failure.get_or_insert(format!(
-                                    "branch {i} disagrees with branch 0 on the recovered graph"
-                                ));
-                            }
-                        } else {
-                            set.db = Some(rec.db);
-                        }
-                        set.text = rec.meta;
-                        set.records_replayed += rec.report.records_replayed;
-                        set.snapshots_skipped += rec.report.snapshots_skipped;
-                        set.sims.push(rec.sim);
+            let report = match (set.failure, set.db) {
+                (None, Some(db)) => match &canonical {
+                    Some(session_db) if !db.same_triples(session_db) => QueryRecovery::Stale,
+                    Some(_) => recovered,
+                    None => {
+                        canonical = Some(db);
+                        recovered
                     }
-                    Err(e) => {
-                        set.complete = false;
-                        set.failure.get_or_insert(format!("branch {i}: {e}"));
-                    }
+                },
+                (failure, _) => {
+                    let detail = failure.unwrap_or_else(|| "unrecoverable branch".into());
+                    first_failure.get_or_insert_with(|| format!("query `{name}`: {detail}"));
+                    QueryRecovery::Quarantined { detail }
                 }
-            }
-            recovered.insert(name.clone(), set);
+            };
+            queries.push((name, set.sims, set.text, report));
         }
-
-        // The session graph: from the first fully recovered query in
-        // name order (= fan-out order).
-        let canonical = recovered
-            .values()
-            .find(|s| s.complete && s.db.is_some())
-            .and_then(|s| s.db.clone())
-            .ok_or_else(|| SessionError::Recovery {
-                detail: format!("{}: no query recovered fully", sd.root.display()),
-            })?;
+        let canonical = canonical.ok_or_else(|| SessionError::Recovery {
+            detail: format!(
+                "{}: no query recovered fully ({})",
+                sd.root.display(),
+                first_failure.unwrap_or_default()
+            ),
+        })?;
 
         let mut session = QuerySession::new(canonical, opts);
         let mut reports = BTreeMap::new();
-        for (name, set) in recovered {
-            let config = set
-                .sims
-                .first()
-                .map(|s| s.config().clone())
-                .unwrap_or_default();
-            let (health, report) = if !set.complete {
-                let detail = set
-                    .failure
-                    .unwrap_or_else(|| "unrecoverable branch".into());
-                (
+        for (name, sims, text, report) in queries {
+            let config = sims.first().map(|s| s.config().clone()).unwrap_or_default();
+            let health = match &report {
+                QueryRecovery::Recovered { .. } => QueryHealth::Healthy,
+                // Recovered, but against an older graph than the
+                // session's: serve stale, rebuild on the next batch.
+                QueryRecovery::Stale => QueryHealth::Degraded {
+                    stale_since_epoch: 0,
+                    attempts: u32::MAX,
+                    next_attempt_epoch: 0,
+                },
+                QueryRecovery::Quarantined { detail } => {
+                    session.stats.quarantines += 1;
                     QueryHealth::Quarantined {
                         stale_since_epoch: 0,
                         detail: detail.clone(),
-                    },
-                    QueryRecovery::Quarantined { detail },
-                )
-            } else if set
-                .db
-                .as_ref()
-                .is_some_and(|db| same_triples(db, &session.db))
-            {
-                (
-                    QueryHealth::Healthy,
-                    QueryRecovery::Recovered {
-                        records_replayed: set.records_replayed,
-                        snapshots_skipped: set.snapshots_skipped,
-                    },
-                )
-            } else {
-                // Recovered, but against an older graph than the
-                // session's: serve stale, rebuild on the next batch.
-                (
-                    QueryHealth::Degraded {
-                        stale_since_epoch: 0,
-                        attempts: u32::MAX,
-                        next_attempt_epoch: 0,
-                    },
-                    QueryRecovery::Stale,
-                )
+                    }
+                }
             };
-            if matches!(report, QueryRecovery::Quarantined { .. }) {
-                session.stats.quarantines += 1;
-            }
             session.queries.insert(
                 name.clone(),
                 RegisteredQuery {
-                    text: set.text,
+                    text,
                     config,
-                    branches: set.sims,
+                    branches: sims,
                     health,
                     backlog: None,
                 },
@@ -1233,13 +1181,67 @@ fn quarantine_at(
     q.backlog = None;
 }
 
-/// `true` iff two databases (sharing a vocabulary lineage) hold the
-/// same triple set.
-fn same_triples(a: &GraphDb, b: &GraphDb) -> bool {
-    a.num_triples() == b.num_triples()
-        && a.num_nodes() == b.num_nodes()
-        && a.num_labels() == b.num_labels()
-        && a.triples().collect::<BTreeSet<_>>() == b.triples().collect::<BTreeSet<_>>()
+/// One query's branches as [`QuerySession::recover`] found them.
+struct RecoveredBranches {
+    sims: Vec<IncrementalDualSim>,
+    /// Branch 0's graph; later branches are checked against it.
+    db: Option<GraphDb>,
+    text: String,
+    /// Summed over the branches.
+    records_replayed: usize,
+    snapshots_skipped: usize,
+    /// The first reason the query did not recover fully.
+    failure: Option<String>,
+}
+
+/// Recovers every `branch-<i>` directory of query `name`; branches of one
+/// query must agree on the graph they reflect (their epochs may differ,
+/// undo histories being per branch).
+fn recover_branches(
+    sd: &SessionDurability,
+    name: &str,
+    vocab: &mut SharedVocab,
+) -> RecoveredBranches {
+    let dir = query_dir(&sd.root, name);
+    let (branch_count, failure) = match scan_branch_dirs(&dir) {
+        Ok(0) => (
+            0,
+            Some(format!("{}: no branch-* directories", dir.display())),
+        ),
+        Ok(n) => (n, None),
+        Err(e) => (0, Some(e.to_string())),
+    };
+    let mut set = RecoveredBranches {
+        sims: Vec::new(),
+        db: None,
+        text: String::new(),
+        records_replayed: 0,
+        snapshots_skipped: 0,
+        failure,
+    };
+    for i in 0..branch_count {
+        match durability::recover(&sd.branch_opts(name, i, ""), vocab) {
+            Ok(rec) => {
+                match &set.db {
+                    Some(db) if !db.same_triples(&rec.db) => {
+                        set.failure.get_or_insert(format!(
+                            "branch {i} disagrees with branch 0 on the recovered graph"
+                        ));
+                    }
+                    Some(_) => {}
+                    None => set.db = Some(rec.db),
+                }
+                set.text = rec.meta;
+                set.records_replayed += rec.report.records_replayed;
+                set.snapshots_skipped += rec.report.snapshots_skipped;
+                set.sims.push(rec.sim);
+            }
+            Err(e) => {
+                set.failure.get_or_insert(format!("branch {i}: {e}"));
+            }
+        }
+    }
+    set
 }
 
 /// The `query-<name>` directories under a session durability root, in
@@ -1962,6 +1964,61 @@ mod tests {
             s2.candidates("chain").unwrap(),
             cold_candidates(s2.db(), CHAIN)
         );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Rewrites the format version in the header of every file under a
+    /// query's branch directories, as a directory written by the version
+    /// 2 format has it.
+    fn downgrade_headers(root: &Path, name: &str, version: u32) {
+        let branches = std::fs::read_dir(query_dir(root, name)).unwrap();
+        for branch in branches {
+            for file in std::fs::read_dir(branch.unwrap().path()).unwrap() {
+                let path = file.unwrap().path();
+                let mut bytes = std::fs::read(&path).unwrap();
+                bytes[4..8].copy_from_slice(&version.to_le_bytes());
+                std::fs::write(&path, bytes).unwrap();
+            }
+        }
+    }
+
+    /// No version 2 reader exists: a query whose snapshots are version 2
+    /// comes back `Quarantined`, and a directory that is version 2
+    /// throughout fails recovery; both details name the version.
+    #[test]
+    fn version_2_directories_are_reported_not_read() {
+        failpoints::disarm_all();
+        let root = tmpdir();
+        let base = db();
+        let opts = SessionOptions {
+            durability: Some(SessionDurability::new(&root)),
+            ..SessionOptions::default()
+        };
+        let mut s = QuerySession::new(base.clone(), opts.clone());
+        s.register("chain", CHAIN, cfg()).unwrap();
+        s.register("union", UNION, cfg()).unwrap();
+        s.apply_batch(false, &[t(&base, "b", "q", "c")]).unwrap();
+        drop(s);
+
+        downgrade_headers(&root, "union", 2);
+        let rec = QuerySession::recover(opts.clone()).unwrap();
+        assert!(matches!(
+            rec.reports["chain"],
+            QueryRecovery::Recovered { .. }
+        ));
+        let QueryRecovery::Quarantined { detail } = &rec.reports["union"] else {
+            panic!("expected Quarantined, got {:?}", rec.reports["union"]);
+        };
+        assert!(detail.contains("unsupported version 2"), "{detail}");
+        drop(rec);
+
+        downgrade_headers(&root, "chain", 2);
+        match QuerySession::recover(opts) {
+            Err(SessionError::Recovery { detail }) => {
+                assert!(detail.contains("unsupported version 2"), "{detail}");
+            }
+            other => panic!("expected SessionError::Recovery, got {other:?}"),
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

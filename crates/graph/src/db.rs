@@ -2,7 +2,7 @@
 //! shared vocabulary.
 
 use crate::{GraphError, LabelId, LabelPairs, NodeId, NodeKind, Vocabulary};
-use dualsim_bitmatrix::{BitMatrix, BitVec};
+use dualsim_bitmatrix::{BitMatrix, BitVec, CsrError};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -81,6 +81,77 @@ impl GraphDb {
             labels,
             n_triples,
         }
+    }
+
+    /// Rebuilds a database from its image: the vocabulary plus, for every
+    /// non-empty label, the compressed rows of its forward matrix `F^a`
+    /// ([`ForwardCsr`]), listed by strictly ascending label id. Each
+    /// matrix goes through [`BitMatrix::from_csr`], which checks it in
+    /// `O(rows + nnz)` with no sort; `B^a` is derived as its transpose,
+    /// so the two are transposes by construction. Labels not listed are
+    /// empty. The result equals [`GraphDb::with_triples`] of the same
+    /// triples on every reader, memory accounting included.
+    ///
+    /// # Errors
+    /// [`GraphError::ForeignTriple`] for a triple whose label or node lies
+    /// outside `vocab` (its `index` is its 1-based position in `(p, s,
+    /// o)` order), [`GraphError::LiteralSubject`] for a literal row, and
+    /// [`GraphError::Image`] for a label listed out of order, a listed
+    /// label with no rows, or a matrix that breaks a CSR invariant.
+    pub fn from_forward_csr(
+        vocab: Arc<Vocabulary>,
+        forward: Vec<(LabelId, ForwardCsr)>,
+    ) -> Result<GraphDb, GraphError> {
+        let n = vocab.num_nodes();
+        let image = |label: LabelId, detail: String| GraphError::Image { label, detail };
+        let mut matrices: Vec<Option<BitMatrix>> = vec![None; vocab.num_labels()];
+        let mut n_triples = 0usize;
+        let mut prev: Option<LabelId> = None;
+        for (label, csr) in forward {
+            if prev.is_some_and(|p| p >= label) {
+                return Err(image(label, "listed out of order".into()));
+            }
+            prev = Some(label);
+            let (Some(&row), Some(&col)) = (csr.rows.first(), csr.targets.first()) else {
+                return Err(image(label, "listed without rows".into()));
+            };
+            if label as usize >= matrices.len() {
+                return Err(vocab
+                    .check_triple(Triple::new(row, label, col), n_triples + 1)
+                    .err()
+                    .unwrap_or_else(|| image(label, "outside the alphabet".into())));
+            }
+            let m =
+                BitMatrix::from_csr(n, &csr.rows, &csr.ends, csr.targets).map_err(|e| match e {
+                    CsrError::OutOfBounds { row, col, entry } => vocab
+                        .check_triple(Triple::new(row, label, col), n_triples + entry + 1)
+                        .err()
+                        .unwrap_or_else(|| image(label, e.to_string())),
+                    CsrError::Malformed(detail) => image(label, detail),
+                })?;
+            if let Some(&lit) = csr
+                .rows
+                .iter()
+                .find(|&&row| vocab.node_kind(row) == NodeKind::Literal)
+            {
+                return Err(GraphError::LiteralSubject(vocab.node_name(lit).to_owned()));
+            }
+            n_triples += m.nnz();
+            matrices[label as usize] = Some(m);
+        }
+        let labels = matrices
+            .into_iter()
+            .map(|m| {
+                let forward = m.unwrap_or_else(|| BitMatrix::from_edges(n, &[]));
+                let backward = forward.transpose();
+                LabelData { forward, backward }
+            })
+            .collect();
+        Ok(GraphDb {
+            vocab,
+            labels,
+            n_triples,
+        })
     }
 
     /// The shared vocabulary (dictionaries of nodes and labels).
@@ -214,6 +285,22 @@ impl GraphDb {
         })
     }
 
+    /// Whether both databases hold the same triples over dictionaries of
+    /// the same size: label by label, their forward matrices hold the
+    /// same entries ([`BitMatrix::same_entries`]) — one pass over the
+    /// arrays, whatever row index each matrix carries. Names are not
+    /// compared.
+    pub fn same_triples(&self, other: &GraphDb) -> bool {
+        self.num_nodes() == other.num_nodes()
+            && self.n_triples == other.n_triples
+            && self.labels.len() == other.labels.len()
+            && self
+                .labels
+                .iter()
+                .zip(&other.labels)
+                .all(|(a, b)| a.forward.same_entries(&b.forward))
+    }
+
     /// Builds a database over the same vocabulary containing exactly the
     /// given triples. This is how per-query prunings and update-stream
     /// snapshots are materialized: identifiers remain valid across both
@@ -289,6 +376,21 @@ impl GraphDb {
             distinct: seen.len(),
         })
     }
+}
+
+/// One label's forward matrix `F^a` in the parts a graph image stores
+/// ([`GraphDb::from_forward_csr`]): the ids of its non-empty rows
+/// ascending, where each of those rows ends in `targets`, and the
+/// concatenated sorted column ids of the rows.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ForwardCsr {
+    /// Non-empty row ids (subjects), strictly ascending.
+    pub rows: Vec<u32>,
+    /// End of each listed row in `targets`, strictly ascending; the last
+    /// is `targets.len()`.
+    pub ends: Vec<u32>,
+    /// Column ids (objects) of every row, back to back.
+    pub targets: Vec<u32>,
 }
 
 /// What [`GraphDb::apply`] did with a batch.

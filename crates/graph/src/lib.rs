@@ -39,7 +39,7 @@ mod vocab;
 #[cfg(test)]
 mod proptests;
 
-pub use db::{Applied, GraphDb, GraphDbBuilder, LabelStats, Triple};
+pub use db::{Applied, ForwardCsr, GraphDb, GraphDbBuilder, LabelStats, Triple};
 pub use ntriples::{parse_ntriples, write_ntriples};
 pub use view::{ChiFilter, GraphView, LabelPairs, LabelView, Neighbors, PrunedView};
 pub use vocab::{NodeKind, Vocabulary};
@@ -85,6 +85,15 @@ pub enum GraphError {
         /// 1-based index of the triple within the rejected batch.
         index: usize,
     },
+    /// A graph image ([`GraphDb::from_forward_csr`]) lists a label out of
+    /// order or without rows, or gives it a matrix that breaks a
+    /// compressed-row invariant.
+    Image {
+        /// The label the problem was found in.
+        label: LabelId,
+        /// What is wrong.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for GraphError {
@@ -110,6 +119,9 @@ impl std::fmt::Display for GraphError {
                     f,
                     "triple {index} ({subject}, {predicate}, {object}) lies outside the shared vocabulary"
                 )
+            }
+            GraphError::Image { label, detail } => {
+                write!(f, "graph image, label #{label}: {detail}")
             }
         }
     }

@@ -71,6 +71,20 @@ fn wide_graphs_reach_both_indexes() {
 fn assert_equals_rebuild(db: &GraphDb, model: &BTreeSet<Triple>) {
     let triples: Vec<Triple> = model.iter().copied().collect();
     let expected = db.with_triples(&triples).unwrap();
+    prop_assert!(db.same_triples(&expected) && expected.same_triples(db));
+    if let Some((_, rest)) = triples.split_first() {
+        // One triple fewer, or one moved elsewhere: not the same.
+        prop_assert!(!db.same_triples(&db.with_triples(rest).unwrap()));
+        let n = db.num_nodes() as u32;
+        let moved = (0..n * n)
+            .map(|k| Triple::new(k / n, triples[0].p, k % n))
+            .find(|t| !model.contains(t));
+        if let Some(moved) = moved {
+            let mut other = rest.to_vec();
+            other.push(moved);
+            prop_assert!(!db.same_triples(&db.with_triples(&other).unwrap()));
+        }
+    }
     prop_assert_eq!(db.num_triples(), expected.num_triples());
     prop_assert_eq!(
         db.triples().collect::<Vec<_>>(),
