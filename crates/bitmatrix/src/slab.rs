@@ -3,11 +3,9 @@
 //! A [`CounterSlab`] holds one `u32` counter per matrix column — the
 //! per-(inequality, candidate) *support* array of an HHK-style counting
 //! engine: `slab[w] = |column w of M ∩ χ(source)|`. Slabs are plain
-//! owned data (`Send + Sync`), which is what makes the sharded parallel
-//! drain (and the sharded parallel *seeding*) safe: support arrays are
-//! disjoint *per inequality*, so a drain round can `std::mem::take` each
-//! touched inequality's slab, hand it to a scoped worker thread, and put
-//! it back at the merge point — no locks, no atomics, no sharing.
+//! owned data, disjoint *per inequality*, so a drain round can
+//! `std::mem::take` each touched inequality's slab into its shard unit
+//! and put it back at the merge point.
 //!
 //! Storage is pluggable the same way χ storage is ([`SlabBackend`],
 //! mirroring `ChiBackend`):

@@ -34,23 +34,12 @@
 //!   solves that never violate an inequality never pay its
 //!   `counter_inits` (`seeds_deferred` / `lazy_seeds` in
 //!   [`SolveStats`]).
-//! * **Sharded draining.** The worklist is drained in *rounds*: each
-//!   round freezes χ, shards the pending removals by inequality (the
-//!   counter slabs are disjoint per inequality), computes every
-//!   shard's decrements and removal proposals independently, and merges
-//!   the proposals into χ in inequality order. Under
-//!   [`DrainStrategy::Sharded`] the shard phase fans out over
-//!   `std::thread::scope` workers; the merge is the only
-//!   cross-inequality χ handoff. Sequential and sharded drains execute
-//!   the same logical algorithm, so χ **and every work counter** are
-//!   bit-identical across strategies and thread counts (pinned by
-//!   `crate::proptests`).
-//! * **Parallel eager seeding.** The eager seeds at
-//!   [`DeltaSolver::from_chi`] are independent per inequality, so under
-//!   `SolverConfig::seed_threads > 1` they ride the same
-//!   take-slab/scoped-worker/merge machinery as the drain shards —
-//!   another cold-solve win on multi-edge queries, invisible to every
-//!   counter.
+//! * **Round-based draining.** The worklist is drained in *rounds*:
+//!   each round freezes χ, shards the pending removals by inequality
+//!   (the counter slabs are disjoint per inequality), computes every
+//!   shard's decrements and removal proposals against the frozen χ, and
+//!   merges the proposals into χ in inequality order. The merge is the
+//!   only cross-inequality χ handoff.
 //! * **Pluggable slab storage.** Support counters go through
 //!   `SolverConfig::slab_backend` the way χ goes through
 //!   `chi_backend`: dense `u32` arrays or sparse hash counters (one
@@ -83,7 +72,6 @@
 //! [`crate::IncrementalDualSim`].
 //!
 //! [`FixpointMode::DeltaCounting`]: crate::FixpointMode::DeltaCounting
-//! [`DrainStrategy::Sharded`]: crate::DrainStrategy::Sharded
 //! [`CounterSlab`]: dualsim_bitmatrix::CounterSlab
 //! [`SolveStats`]: crate::SolveStats
 
@@ -187,9 +175,8 @@ fn unsupported<'a>(slab: &'a CounterSlab, chi: &'a ChiVec) -> impl Iterator<Item
 
 /// One drain-round work unit: a labeled edge inequality whose source
 /// variable shrank this round, with exclusive ownership of its counter
-/// slab. Units are processed against a frozen χ — inline or on a scoped
-/// worker thread — and report their proposed target removals plus work
-/// counters back to the merge step.
+/// slab. Units are processed against a frozen χ and report their
+/// proposed target removals plus work counters back to the merge step.
 #[derive(Debug, Clone)]
 struct ShardUnit {
     ineq: u32,
@@ -211,8 +198,7 @@ struct ShardUnit {
     lazy_seeded: bool,
     /// Columns decremented this round, recorded for the rollback
     /// journal (`Some` iff the drain runs inside a journaling epoch);
-    /// the merge step folds them into the epoch's undo log on the
-    /// coordinator thread.
+    /// the merge step folds them into the epoch's undo log.
     journal: Option<Vec<u32>>,
 }
 
@@ -286,28 +272,6 @@ impl ShardUnit {
                 drain(matrix.row(u as usize));
             }
         }
-    }
-}
-
-/// One parallel-seeding work unit of [`DeltaSolver::from_chi`]: an
-/// eagerly-seeded edge inequality with exclusive ownership of its (still
-/// unseeded) counter slab. Jobs are independent — disjoint slabs, frozen
-/// χ, read-only matrices — so they fan out over scoped worker threads
-/// exactly like drain shards, and the merge folds `inits` in inequality
-/// order (the sum is thread-count independent either way).
-struct SeedJob {
-    ineq: usize,
-    source: usize,
-    label: u32,
-    forward: bool,
-    slab: CounterSlab,
-    inits: usize,
-}
-
-impl SeedJob {
-    fn run(&mut self, db: &GraphDb, chi: &[ChiVec]) {
-        let matrix = multiply_matrix(db, self.label, self.forward);
-        self.inits = self.slab.seed(matrix, &chi[self.source]);
     }
 }
 
@@ -631,15 +595,7 @@ impl DeltaSolver {
         // defers both its seeding and its enforcement to the first touch
         // by a removal (the deferral stays sound because any later
         // shrink of χ(source) goes through the worklist and seeds it).
-        //
-        // The eager seeds are independent per inequality — disjoint
-        // slabs, frozen χ, read-only matrices — so under
-        // `SolverConfig::seed_threads > 1` they fan out over scoped
-        // worker threads through the same take-slab/merge machinery the
-        // drain shards use; `counter_inits` folds in inequality order
-        // and is bit-identical for every thread count.
         let mut deferred = vec![false; soi.ineqs.len()];
-        let mut jobs: Vec<SeedJob> = Vec::new();
         for (i, ineq) in soi.ineqs.iter().enumerate() {
             let Inequality::Edge {
                 target,
@@ -658,38 +614,10 @@ impl DeltaSolver {
                 solver.stats.seeds_deferred += 1;
                 deferred[i] = true;
             } else {
-                jobs.push(SeedJob {
-                    ineq: i,
-                    source,
-                    label: a,
-                    forward,
-                    slab: std::mem::take(&mut solver.support[i]),
-                    inits: 0,
-                });
+                let slab = &mut solver.support[i];
+                solver.stats.counter_inits += slab.seed(matrix, &solver.chi[source]);
+                solver.slab_word_total += slab.storage_words();
             }
-        }
-        let seed_workers = config.seed_threads.max(1).min(jobs.len());
-        if seed_workers <= 1 {
-            for job in &mut jobs {
-                job.run(db, &solver.chi);
-            }
-        } else {
-            let chi = &solver.chi;
-            let chunk = jobs.len().div_ceil(seed_workers);
-            std::thread::scope(|scope| {
-                for shard in jobs.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for job in shard {
-                            job.run(db, chi);
-                        }
-                    });
-                }
-            });
-        }
-        for job in jobs {
-            solver.stats.counter_inits += job.inits;
-            solver.slab_word_total += job.slab.storage_words();
-            solver.support[job.ineq] = job.slab;
         }
         solver.stats.observe_slab_words(solver.slab_word_total);
 
@@ -1361,10 +1289,9 @@ impl DeltaSolver {
     }
 
     /// Drains the removal worklist in rounds. Each round freezes χ,
-    /// shards the pending removals by inequality, runs the shard phase
-    /// (inline or across scoped threads, per [`SolverConfig::drain`] —
-    /// the logical work is identical either way), and merges the
-    /// proposed removals back into χ in inequality order. Returns
+    /// shards the pending removals by inequality, processes every shard
+    /// against the frozen χ, and merges the proposed removals back into
+    /// χ in inequality order. Returns
     /// `Ok(true)` iff an early exit triggered (the state must then be
     /// killed).
     ///
@@ -1375,27 +1302,19 @@ impl DeltaSolver {
     /// too. Outside an epoch (cold solves) neither check runs and the
     /// `Err` arm is unreachable.
     ///
-    /// Two invisible-to-the-counters engineering details:
-    ///
-    /// * **O(touched) round assembly.** The round's shard units and
-    ///   merge agenda are looked up through the `edge_ineqs_by_source` /
-    ///   `subset_ineqs_by_sup` indexes and the per-round buffers
-    ///   (`by_var`, `touched_vars`, `agenda`, `units`, proposal pool)
-    ///   are persistent scratch, so a deep cascade that clears one
-    ///   candidate per round costs O(its own work), not
-    ///   O(#vars + #ineqs) per round.
-    /// * **Adaptive threading.** A round whose batch is smaller than
-    ///   [`SolverConfig::drain_inline_below`] runs its shards inline
-    ///   even under [`crate::DrainStrategy::Sharded`] — same algorithm,
-    ///   same χ, same counters, no thread-spawn overhead for a handful
-    ///   of removals.
+    /// Round assembly is O(touched), invisibly to the counters: the
+    /// round's shard units and merge agenda are looked up through the
+    /// `edge_ineqs_by_source` / `subset_ineqs_by_sup` indexes and the
+    /// per-round buffers (`by_var`, `touched_vars`, `agenda`, `units`,
+    /// proposal pool) are persistent scratch, so a deep cascade that
+    /// clears one candidate per round costs O(its own work), not
+    /// O(#vars + #ineqs) per round.
     fn drain(
         &mut self,
         db: &GraphDb,
         soi: &Soi,
         config: &SolverConfig,
     ) -> Result<bool, MaintainError> {
-        let thread_budget = config.drain.threads();
         let journaling = self
             .epoch
             .as_ref()
@@ -1425,7 +1344,7 @@ impl DeltaSolver {
             // per-bit and run-aware walks (a run's CSR segment is the
             // concatenation of its rows in exactly this order), so the
             // decrement/proposal sequences are bit-identical across χ
-            // backends, drain strategies and thread counts.
+            // backends.
             let mut by_var = std::mem::take(&mut self.by_var);
             let mut touched = std::mem::take(&mut self.touched_vars);
             for &(v, u) in &batch {
@@ -1481,46 +1400,14 @@ impl DeltaSolver {
             }
             self.stats.shard_units += units.len();
 
-            let workers = if batch.len() < config.drain_inline_below {
-                1 // tiny round: threads cost more than the work
-            } else {
-                thread_budget.min(units.len())
-            };
-            if workers <= 1 {
-                for unit in &mut units {
-                    unit.process(db, &by_var[unit.source as usize], &self.chi);
-                }
-            } else {
-                let chi = &self.chi;
-                let by_var = &by_var;
-                let chunk = units.len().div_ceil(workers);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = units
-                        .chunks_mut(chunk)
-                        .map(|shard| {
-                            scope.spawn(move || {
-                                for unit in shard {
-                                    unit.process(db, &by_var[unit.source as usize], chi);
-                                }
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        // Structural invariant: a shard worker only
-                        // reads frozen state and its own unit; a panic
-                        // there is a bug, not a recoverable condition.
-                        #[allow(clippy::expect_used)]
-                        h.join().expect("drain shard panicked");
-                    }
-                });
+            for unit in &mut units {
+                unit.process(db, &by_var[unit.source as usize], &self.chi);
             }
 
             // Merge: hand every slab back, fold the per-shard work
             // counters, and apply the proposals in inequality order.
             // Subset inequalities carry no counters and are resolved
-            // inline at their position in the same order, so sequential
-            // and sharded drains clear the exact same bits in the exact
-            // same order.
+            // at their position in the same order.
             let mut early = false;
             let mut unit_iter = units.drain(..).peekable();
             for &i in &agenda {
@@ -1794,7 +1681,7 @@ fn validate_batch(db: &GraphDb, batch: &[Triple]) -> Result<(), MaintainError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_sois, solve, DrainStrategy, FixpointMode};
+    use crate::{build_sois, solve, FixpointMode};
     use dualsim_bitmatrix::ChiBackend;
     use dualsim_graph::GraphDbBuilder;
     use dualsim_query::parse;
@@ -1848,34 +1735,6 @@ mod tests {
                         delta.is_certainly_empty(),
                         "{text}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_drain_matches_sequential_on_fixtures() {
-        let db = sample_db();
-        for text in [
-            "{ ?x p ?y . ?y p ?z . ?x q ?z }",
-            "{ ?x q ?y . ?y p ?z }",
-            "{ ?x p ?y OPTIONAL { ?x q ?z } }",
-        ] {
-            let q = parse(text).unwrap();
-            for soi in build_sois(&db, &q) {
-                for early_exit in [false, true] {
-                    let seq = solve(&db, &soi, &delta_cfg(early_exit));
-                    for threads in [1, 2, 4, 16] {
-                        let cfg = SolverConfig {
-                            drain: DrainStrategy::Sharded { threads },
-                            ..delta_cfg(early_exit)
-                        };
-                        let par = solve(&db, &soi, &cfg);
-                        assert_eq!(seq.chi, par.chi, "{text} ({threads} threads)");
-                        // The full stats — every work counter included —
-                        // must be bit-identical across strategies.
-                        assert_eq!(seq.stats, par.stats, "{text} ({threads} threads)");
-                    }
                 }
             }
         }
@@ -1979,34 +1838,6 @@ mod tests {
         let reev = solve(&db, &soi, &SolverConfig::default());
         assert_eq!(reev.stats.slab_peak_words, 0);
         assert_eq!(reev.stats.row_lookups, 0);
-    }
-
-    #[test]
-    fn parallel_seeding_is_invisible_to_every_counter() {
-        let db = sample_db();
-        for text in [
-            "{ ?x p ?y . ?y p ?z . ?x q ?z }",
-            "{ ?x q ?y . ?y p ?z }",
-        ] {
-            let q = parse(text).unwrap();
-            for soi in build_sois(&db, &q) {
-                let seq = solve(&db, &soi, &delta_cfg(false));
-                for threads in [2, 4, 16] {
-                    let par = solve(
-                        &db,
-                        &soi,
-                        &SolverConfig {
-                            seed_threads: threads,
-                            ..delta_cfg(false)
-                        },
-                    );
-                    assert_eq!(seq.chi, par.chi, "{text} ({threads} seed threads)");
-                    // Full stats — the storage gauges included — are
-                    // deterministic across seeding thread counts.
-                    assert_eq!(seq.stats, par.stats, "{text} ({threads} seed threads)");
-                }
-            }
-        }
     }
 
     /// A publications-style fixture whose forced removals form one
@@ -2269,7 +2100,7 @@ mod tests {
     }
 
     #[test]
-    fn insertion_maintenance_is_backend_and_thread_invariant() {
+    fn insertion_maintenance_is_backend_invariant() {
         use crate::SlabBackend;
         let db = sample_db();
         let q = parse("{ ?x p ?y . ?y q ?z }").unwrap();
@@ -2288,21 +2119,15 @@ mod tests {
         assert_eq!(base.chi, solve(&db, &soi, &delta_cfg(false)).chi);
         for chi_backend in [ChiBackend::Dense, ChiBackend::Rle] {
             for slab_backend in [SlabBackend::Dense, SlabBackend::Sparse] {
-                for threads in [1, 4] {
-                    let cfg = SolverConfig {
-                        chi_backend,
-                        slab_backend,
-                        drain: DrainStrategy::Sharded { threads },
-                        ..delta_cfg(false)
-                    };
-                    let sol = run(&cfg);
-                    assert_eq!(base.chi, sol.chi, "({chi_backend:?}, {slab_backend:?}, {threads})");
-                    assert_eq!(
-                        base.stats.logical(),
-                        sol.stats.logical(),
-                        "({chi_backend:?}, {slab_backend:?}, {threads})"
-                    );
-                }
+                let cfg = SolverConfig {
+                    chi_backend,
+                    slab_backend,
+                    ..delta_cfg(false)
+                };
+                let sol = run(&cfg);
+                let label = format!("({chi_backend:?}, {slab_backend:?})");
+                assert_eq!(base.chi, sol.chi, "{label}");
+                assert_eq!(base.stats.logical(), sol.stats.logical(), "{label}");
             }
         }
     }
@@ -2526,57 +2351,50 @@ mod tests {
     }
 
     #[test]
-    fn rollback_is_invariant_across_backends_and_threads() {
+    fn rollback_is_invariant_across_backends() {
         use crate::SlabBackend;
-        // The satellite matrix: chi {dense,rle} × slab {dense,sparse} ×
-        // drain {sequential,sharded} × threads {1,4}. Every combination
-        // must abort back to its own bit-identical pre-batch snapshot,
-        // and the logical outcome must also agree *across* the matrix.
+        // The backend matrix: chi {dense,rle} × slab {dense,sparse}.
+        // Every combination must abort back to its own bit-identical
+        // pre-batch snapshot, and the logical outcome must also agree
+        // *across* the matrix.
         let mut logical_reference: Option<SolveStats> = None;
         for chi_backend in [ChiBackend::Dense, ChiBackend::Rle] {
             for slab_backend in [SlabBackend::Dense, SlabBackend::Sparse] {
-                for threads in [1usize, 4] {
-                    let drain = if threads == 1 {
-                        DrainStrategy::Sequential
-                    } else {
-                        DrainStrategy::Sharded { threads }
-                    };
-                    let cfg = SolverConfig {
-                        chi_backend,
-                        slab_backend,
-                        drain,
-                        // Shard even the small fixture rounds so the
-                        // threaded merge path actually runs.
-                        drain_inline_below: 0,
-                        ..delta_cfg(false)
-                    };
-                    let label = format!("({chi_backend:?}, {slab_backend:?}, {drain:?})");
-                    let (_db, soi, mut engine, db_after, qs) = retraction_fixture(&cfg);
-                    let pre = engine.solution();
-                    failpoints::disarm_all();
-                    failpoints::arm("mid-round", 0);
-                    assert_eq!(
-                        engine.retract_triples(&db_after, &soi, &cfg, &qs),
-                        Err(MaintainError::Failpoint { point: "mid-round" }),
-                        "{label}"
-                    );
-                    failpoints::disarm_all();
-                    let post = engine.solution();
-                    assert_eq!(pre.chi, post.chi, "{label}");
-                    assert_eq!(pre.stats.logical(), post.stats.logical(), "{label}");
-                    assert_eq!(post.stats.rollbacks, 1, "{label}");
-                    assert!(!engine.is_poisoned(), "{label}");
-                    // The next batch applies as if the abort never
-                    // happened…
-                    engine.retract_triples(&db_after, &soi, &cfg, &qs).unwrap();
-                    assert_eq!(engine.solution().chi, solve(&db_after, &soi, &cfg).chi, "{label}");
-                    // …with the logical stats identical across the
-                    // whole matrix.
-                    let logical = engine.solution().stats.logical();
-                    match &logical_reference {
-                        None => logical_reference = Some(logical),
-                        Some(reference) => assert_eq!(reference, &logical, "{label}"),
-                    }
+                let cfg = SolverConfig {
+                    chi_backend,
+                    slab_backend,
+                    ..delta_cfg(false)
+                };
+                let label = format!("({chi_backend:?}, {slab_backend:?})");
+                let (_db, soi, mut engine, db_after, qs) = retraction_fixture(&cfg);
+                let pre = engine.solution();
+                failpoints::disarm_all();
+                failpoints::arm("mid-round", 0);
+                assert_eq!(
+                    engine.retract_triples(&db_after, &soi, &cfg, &qs),
+                    Err(MaintainError::Failpoint { point: "mid-round" }),
+                    "{label}"
+                );
+                failpoints::disarm_all();
+                let post = engine.solution();
+                assert_eq!(pre.chi, post.chi, "{label}");
+                assert_eq!(pre.stats.logical(), post.stats.logical(), "{label}");
+                assert_eq!(post.stats.rollbacks, 1, "{label}");
+                assert!(!engine.is_poisoned(), "{label}");
+                // The next batch applies as if the abort never
+                // happened…
+                engine.retract_triples(&db_after, &soi, &cfg, &qs).unwrap();
+                assert_eq!(
+                    engine.solution().chi,
+                    solve(&db_after, &soi, &cfg).chi,
+                    "{label}"
+                );
+                // …with the logical stats identical across the
+                // whole matrix.
+                let logical = engine.solution().stats.logical();
+                match &logical_reference {
+                    None => logical_reference = Some(logical),
+                    Some(reference) => assert_eq!(reference, &logical, "{label}"),
                 }
             }
         }

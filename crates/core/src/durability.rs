@@ -30,7 +30,7 @@
 //!   bit-identical to an uninterrupted run), silently truncates a torn
 //!   final record, and resumes warm.
 //!
-//! The graph image (format version 3) is what [`GraphDb`] holds, not a
+//! The graph image (since format version 3) is what [`GraphDb`] holds, not a
 //! triple list: a vocabulary block — its byte length, then the node
 //! names with their kind tags in id order and the label names in id
 //! order — followed by the count of non-empty labels and, per such label
@@ -41,9 +41,10 @@
 //! untrusted input even when its CRC matches, so the image is rebuilt
 //! through [`GraphDb::from_forward_csr`], which checks every matrix in
 //! `O(rows + entries)` without sorting and reports a broken invariant as
-//! [`MaintainError::Corrupt`]. Version 2 (triple-list) snapshots have no
-//! reader. Within one session recovery, a vocabulary block identical to
-//! the first one decoded reuses that vocabulary.
+//! [`MaintainError::Corrupt`]. Only the current format version, 4, is
+//! read: version 2 (triple-list) and version 3 files have no reader.
+//! Within one session recovery, a vocabulary block identical to the
+//! first one decoded reuses that vocabulary.
 //!
 //! Every fallible I/O step carries a failpoint site
 //! ([`crate::failpoints::DURABILITY_SITES`]) so the chaos proptests
@@ -54,8 +55,7 @@ use crate::failpoints;
 use crate::incremental::IncrementalDualSim;
 use crate::soi::{Inequality, PatternEdge, SimulationKind, Soi, SoiVar};
 use crate::solver::{
-    DrainStrategy, EvalStrategy, FixpointMode, IneqOrdering, InitMode, Solution, SolveStats,
-    SolverConfig,
+    EvalStrategy, FixpointMode, IneqOrdering, InitMode, Solution, SolveStats, SolverConfig,
 };
 use crate::MaintainError;
 use dualsim_bitmatrix::{ChiBackend, ChiVec, KernelBackend, SlabBackend};
@@ -71,9 +71,10 @@ const WAL_MAGIC: &[u8; 4] = b"DWAL";
 const SNAP_MAGIC: &[u8; 4] = b"DSNP";
 /// v2 added the kernel-backend tag to the encoded [`SolverConfig`]; v3
 /// stores the graph as an image (vocabulary section plus per-label
-/// forward rows) instead of a triple list. Only the current version is
-/// read.
-const FORMAT_VERSION: u32 = 3;
+/// forward rows) instead of a triple list; v4 drops the three threading
+/// fields (drain strategy, inline threshold, seed threads) from the
+/// encoded [`SolverConfig`]. Only the current version is read.
+const FORMAT_VERSION: u32 = 4;
 /// WAL header: magic + version.
 const WAL_HEADER_LEN: u64 = 8;
 /// Per-record frame: payload length (u32) + CRC32 of the payload (u32).
@@ -415,19 +416,7 @@ impl Durability {
                 fs::remove_file(entry.path()).map_err(|e| io_err("stale snapshot remove", e))?;
             }
         }
-        let mut wal = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(wal_path(&opts.dir))
-            .map_err(|e| io_err("wal create", e))?;
-        wal.write_all(WAL_MAGIC).map_err(|e| io_err("wal create", e))?;
-        wal.write_all(&FORMAT_VERSION.to_le_bytes())
-            .map_err(|e| io_err("wal create", e))?;
-        if opts.fsync {
-            wal.sync_data().map_err(|e| io_err("wal create", e))?;
-        }
+        let wal = write_wal_header(&opts.dir, opts.fsync)?;
         Ok(Durability {
             dir: opts.dir.clone(),
             wal,
@@ -441,18 +430,13 @@ impl Durability {
 
     /// Re-opens the WAL of a recovered instance for appending.
     /// `committed_len` is the verified end offset the recovery scan
-    /// established (the file was already truncated there). A missing
-    /// WAL file (never created, or lost with its directory entry) is
-    /// recreated empty.
+    /// established (recovery already truncated the file there, or
+    /// rewrote a missing or damaged header).
     fn open_for_append(opts: &DurabilityOptions, committed_len: u64) -> Result<Self, MaintainError> {
-        let path = wal_path(&opts.dir);
-        if !path.exists() {
-            return Self::create(opts);
-        }
         let wal = OpenOptions::new()
             .read(true)
             .write(true)
-            .open(path)
+            .open(wal_path(&opts.dir))
             .map_err(|e| io_err("wal open", e))?;
         Ok(Durability {
             dir: opts.dir.clone(),
@@ -597,6 +581,25 @@ fn wal_path(dir: &Path) -> PathBuf {
     dir.join("wal.log")
 }
 
+/// Creates or truncates `wal.log` in `dir` to a bare header (magic +
+/// version), synced when `fsync` is set, and returns the open file.
+fn write_wal_header(dir: &Path, fsync: bool) -> Result<File, MaintainError> {
+    let mut wal = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(wal_path(dir))
+        .map_err(|e| io_err("wal create", e))?;
+    wal.write_all(WAL_MAGIC).map_err(|e| io_err("wal create", e))?;
+    wal.write_all(&FORMAT_VERSION.to_le_bytes())
+        .map_err(|e| io_err("wal create", e))?;
+    if fsync {
+        wal.sync_data().map_err(|e| io_err("wal create", e))?;
+    }
+    Ok(wal)
+}
+
 fn snapshot_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("snapshot-{epoch:020}.snap"))
 }
@@ -703,20 +706,8 @@ fn encode_config(enc: &mut Enc, c: &SolverConfig) {
         FixpointMode::Reevaluate => 0,
         FixpointMode::DeltaCounting => 1,
     });
-    match c.drain {
-        DrainStrategy::Sequential => {
-            enc.u8(0);
-            enc.u64(0);
-        }
-        DrainStrategy::Sharded { threads } => {
-            enc.u8(1);
-            enc.usize(threads);
-        }
-    }
-    enc.usize(c.drain_inline_below);
     enc.u8(chi_backend_tag(c.chi_backend));
     enc.u8(slab_backend_tag(c.slab_backend));
-    enc.usize(c.seed_threads);
     enc.bool(c.early_exit);
     match c.drain_budget {
         None => {
@@ -754,15 +745,8 @@ fn decode_config(dec: &mut Dec<'_>) -> Result<SolverConfig, MaintainError> {
         1 => FixpointMode::DeltaCounting,
         v => return Err(corrupt(format!("config: bad fixpoint tag {v}"))),
     };
-    let drain = match (dec.u8()?, dec.usize()?) {
-        (0, _) => DrainStrategy::Sequential,
-        (1, threads) => DrainStrategy::Sharded { threads },
-        (v, _) => return Err(corrupt(format!("config: bad drain tag {v}"))),
-    };
-    let drain_inline_below = dec.usize()?;
     let chi_backend = chi_backend_from(dec.u8()?, "config")?;
     let slab_backend = slab_backend_from(dec.u8()?, "config")?;
-    let seed_threads = dec.usize()?;
     let early_exit = dec.bool()?;
     let drain_budget = match (dec.u8()?, dec.usize()?) {
         (0, _) => None,
@@ -776,11 +760,8 @@ fn decode_config(dec: &mut Dec<'_>) -> Result<SolverConfig, MaintainError> {
         ordering,
         init,
         fixpoint,
-        drain,
-        drain_inline_below,
         chi_backend,
         slab_backend,
-        seed_threads,
         early_exit,
         drain_budget,
         journal,
@@ -1589,14 +1570,19 @@ pub(crate) fn recover(
             )));
             continue;
         }
-        // Truncate the torn tail before replaying, so a recovered
-        // engine appends cleanly after the last valid record.
-        if torn_bytes > 0 && scan.file_len > 0 {
+        // Before replaying, make the WAL end at its last valid record
+        // so a recovered engine appends where the next recovery reads.
+        // A missing file or a damaged header (`valid_end` 0) gets a
+        // fresh header: records appended behind a bad one would all be
+        // discarded by the next scan.
+        if scan.valid_end == 0 {
+            write_wal_header(&opts.dir, opts.fsync)?;
+        } else if torn_bytes > 0 {
             let wal = OpenOptions::new()
                 .write(true)
                 .open(wal_path(&opts.dir))
                 .map_err(|e| io_err("wal truncate", e))?;
-            wal.set_len(scan.valid_end.max(WAL_HEADER_LEN))
+            wal.set_len(scan.valid_end)
                 .map_err(|e| io_err("wal truncate", e))?;
         }
         return replay(opts, decoded, &tail, skipped, torn_bytes, &scan);
@@ -1644,11 +1630,7 @@ fn replay(
     }
     let epoch = sim.epoch();
     debug_assert_eq!(epoch, snapshot_epoch + tail.len() as u64);
-    let committed_len = if scan.file_len == 0 {
-        WAL_HEADER_LEN // the WAL will be recreated on attach
-    } else {
-        scan.valid_end.max(WAL_HEADER_LEN)
-    };
+    let committed_len = scan.valid_end.max(WAL_HEADER_LEN);
     sim.attach_recovered(Durability::open_for_append(opts, committed_len)?);
     Ok(Recovered {
         sim,
@@ -1712,11 +1694,8 @@ mod tests {
                 ordering: IneqOrdering::QueryOrder,
                 init: InitMode::AllOnes,
                 fixpoint: FixpointMode::DeltaCounting,
-                drain: DrainStrategy::Sharded { threads: 7 },
-                drain_inline_below: 3,
                 chi_backend: ChiBackend::Rle,
                 slab_backend: SlabBackend::Sparse,
-                seed_threads: 4,
                 early_exit: false,
                 drain_budget: Some(123_456),
                 journal: false,
@@ -2206,5 +2185,61 @@ mod tests {
         let scan = scan_wal(Path::new("/nonexistent/definitely/wal.log")).unwrap();
         assert!(scan.records.is_empty());
         assert_eq!(scan.file_len, 0);
+    }
+
+    /// A missing WAL, or one whose header has bad magic, another format
+    /// version or fewer than 8 bytes, holds no valid record. Recovery
+    /// must write a fresh header and keep the snapshots, so the two
+    /// batches committed after the first recovery survive the second.
+    #[test]
+    fn records_appended_after_a_missing_or_damaged_wal_header_survive() {
+        use crate::soi::build_sois;
+        let db0 = image_db();
+        let q = dualsim_query::parse("{ ?x p ?y . ?y p ?z }").unwrap();
+        let soi = build_sois(&db0, &q).remove(0);
+        let config = SolverConfig {
+            fixpoint: FixpointMode::DeltaCounting,
+            early_exit: false,
+            ..SolverConfig::default()
+        };
+        // The WAL each case leaves in place of the fresh, header-only one
+        // (`None`: the file is gone).
+        let version = FORMAT_VERSION.to_le_bytes();
+        let old_version = (FORMAT_VERSION - 1).to_le_bytes();
+        let cases = [
+            ("magic", Some([&b"XWAL"[..], &version].concat())),
+            ("version", Some([&WAL_MAGIC[..], &old_version].concat())),
+            ("short", Some(WAL_MAGIC[..3].to_vec())),
+            ("missing", None),
+        ];
+        for (name, damaged) in cases {
+            let dir = std::env::temp_dir()
+                .join(format!("dualsim-wal-header-{name}-{}", std::process::id()));
+            let opts = DurabilityOptions::new(&dir);
+            let fresh = IncrementalDualSim::new_durable(&db0, soi.clone(), config.clone(), &opts);
+            drop(fresh.unwrap());
+            let wal = wal_path(&dir);
+            match damaged {
+                Some(bytes) => fs::write(&wal, bytes).unwrap(),
+                None => fs::remove_file(&wal).unwrap(),
+            }
+
+            let mut rec = IncrementalDualSim::recover(&opts).unwrap();
+            assert_eq!(rec.report.epoch, 0, "{name}");
+            let mut triples: Vec<Triple> = rec.db.triples().collect();
+            for _ in 0..2 {
+                let victim = triples.pop().unwrap();
+                rec.db.apply(false, &[victim]).unwrap();
+                rec.sim.apply_deletions(&rec.db, &[victim]).unwrap();
+            }
+            let expected = rec.sim.solution().chi.clone();
+            drop(rec);
+
+            let again = IncrementalDualSim::recover(&opts).unwrap();
+            assert_eq!(again.report.records_replayed, 2, "{name}");
+            assert_eq!(again.report.epoch, 2, "{name}");
+            assert_eq!(again.sim.solution().chi, expected, "{name}");
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 }

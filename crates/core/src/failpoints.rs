@@ -10,11 +10,11 @@
 //! models a failing rollback, which poisons the engine.
 //!
 //! The registry is **thread-local and deterministic**: no clocks, no
-//! randomness, no cross-thread state. All sites live on the coordinator
-//! thread (drain shards never consult the registry), so arming from a
-//! test and driving maintenance on the same thread is race-free by
-//! construction. When nothing is armed the per-site cost is one
-//! thread-local flag read.
+//! randomness, no cross-thread state. Maintenance starts no worker
+//! threads — every site runs on the thread that called into the engine
+//! — so arming from a test and driving maintenance on the same thread
+//! is race-free by construction. When nothing is armed the per-site
+//! cost is one thread-local flag read.
 //!
 //! This module exists for the chaos proptests; production callers never
 //! arm anything and pay (almost) nothing.
@@ -107,7 +107,8 @@ pub fn any_armed() -> bool {
 
 /// The engine-side check: returns `Err(MaintainError::Failpoint)` iff
 /// `point` is armed and its countdown has elapsed, decrementing the
-/// countdown otherwise. Sites call this on the coordinator thread only.
+/// countdown otherwise. Sites run on the thread that called into the
+/// engine.
 #[inline]
 pub fn check(point: &'static str) -> Result<(), MaintainError> {
     if !ANY_ARMED.with(|f| f.get()) {

@@ -30,11 +30,8 @@
 //! Deletions under [`FixpointMode::DeltaCounting`] are fed *directly
 //! into the delta worklist* (one counter decrement per deleted triple
 //! and affected inequality) instead of re-running the solver over the
-//! previous χ — the fully incremental path the `ablation_fixpoint`
-//! benchmark measures. The configured [`crate::DrainStrategy`] applies
-//! to maintenance too: under `DrainStrategy::Sharded` every update's
-//! cascade is drained in parallel rounds, with χ and all work counters
-//! bit-identical to the sequential drain.
+//! previous χ — the fully incremental path the `resident-*` benchmark
+//! workloads measure.
 
 use crate::delta::DeltaSolver;
 use crate::durability::{self, Durability, DurabilityOptions, Recovered, SnapshotState};
@@ -546,10 +543,6 @@ mod tests {
         let configs = [
             cfg(FixpointMode::Reevaluate),
             cfg(FixpointMode::DeltaCounting),
-            SolverConfig {
-                drain: crate::DrainStrategy::Sharded { threads: 4 },
-                ..cfg(FixpointMode::DeltaCounting)
-            },
         ];
         for config in configs {
             let mut inc = IncrementalDualSim::new(&db, soi.clone(), config.clone());

@@ -14,8 +14,7 @@
 //!   by [`SolverConfig`]; two convergence engines are available
 //!   ([`FixpointMode`]): whole-inequality re-evaluation and
 //!   delta-counting removal propagation — with lazy per-inequality
-//!   counter seeding and a round-based worklist drain that optionally
-//!   shards across scoped threads ([`DrainStrategy`]) — which also
+//!   counter seeding and a round-based worklist drain — which also
 //!   powers truly incremental deletion maintenance in
 //!   [`IncrementalDualSim`]; χ storage is pluggable per solve
 //!   ([`ChiBackend`]: dense bit vectors or run-length encoded ones,
@@ -49,9 +48,9 @@
 #![warn(missing_docs)]
 // Robustness gate: library code must not panic on reachable input
 // paths — maintenance errors flow through `MaintainError` and the
-// epoch rollback instead. Structural invariants (scoped-thread joins,
-// peeked-iterator advances) carry scoped `expect` allows with a
-// justification at the site. Test code is exempt.
+// epoch rollback instead. Structural invariants (e.g. peeked-iterator
+// advances) carry scoped `expect` allows with a justification at the
+// site. Test code is exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod baseline;
@@ -85,7 +84,7 @@ pub use quotient::QuotientIndex;
 pub use soi::{build_sois, build_sois_with, Inequality, PatternEdge, SimulationKind, Soi, SoiVar};
 pub use dualsim_bitmatrix::{ChiBackend, ChiVec, KernelBackend, SlabBackend};
 pub use solver::{
-    solve, solve_from, DrainStrategy, EvalStrategy, FixpointMode, IneqOrdering, InitMode, Solution,
-    SolveStats, SolverConfig,
+    solve, solve_from, EvalStrategy, FixpointMode, IneqOrdering, InitMode, Solution, SolveStats,
+    SolverConfig,
 };
 pub use strong::{strong_kept_triples, strong_simulation, StrongSimulation, StrongStats};

@@ -1,7 +1,7 @@
 //! Per-query solve plans: one resolution of every pluggable axis.
 //!
 //! A [`SolvePlan`] pins the χ-storage backend × counter-slab backend ×
-//! drain strategy × word-kernel combination a solve runs under — all
+//! word-kernel combination a solve runs under — all
 //! `Auto` selections resolved against the seeded candidate density (χ,
 //! slab) and the host CPU (kernel) — **once**, at [`crate::DeltaSolver`]
 //! construction / re-evaluation solve entry, instead of re-deciding
@@ -24,9 +24,9 @@
 //!
 //! Every plan combination is bit-identical in χ and in the logical
 //! [`crate::SolveStats`] projection — the parity harness sweeps the full
-//! plan space (kernel × χ × slab × drain × threads) and pins it.
+//! plan space (kernel × χ × slab) and pins it.
 
-use crate::solver::{auto_prefers_compressed, DrainStrategy, SolverConfig};
+use crate::solver::{auto_prefers_compressed, SolverConfig};
 use dualsim_bitmatrix::{ChiBackend, ChiVec, KernelBackend, SlabBackend};
 
 /// The per-query resolved execution plan: every pluggable axis pinned
@@ -37,10 +37,6 @@ pub struct SolvePlan {
     pub chi: ChiBackend,
     /// Concrete support-counter backend (never [`SlabBackend::Auto`]).
     pub slab: SlabBackend,
-    /// Worklist drain strategy (taken from the config verbatim — it has
-    /// no `Auto` to resolve; the per-round inline threshold still
-    /// applies underneath).
-    pub drain: DrainStrategy,
     /// Concrete word-kernel instantiation (never [`KernelBackend::Auto`];
     /// `Simd` only when the CPU supports it).
     pub kernel: KernelBackend,
@@ -89,7 +85,6 @@ impl SolvePlan {
         SolvePlan {
             chi,
             slab,
-            drain: config.drain,
             kernel: config.kernel_backend.resolve(),
             run_aware: chi == ChiBackend::Rle,
         }
@@ -151,6 +146,5 @@ mod tests {
         assert_eq!(plan.slab, SlabBackend::Dense);
         assert_eq!(plan.kernel, KernelBackend::Unrolled);
         assert!(plan.run_aware);
-        assert_eq!(plan.drain, config.drain);
     }
 }

@@ -32,9 +32,9 @@
 //! rebuild) while the others commit normally.
 
 use dualsim::core::{
-    build_sois, prune, solve_query, ChiBackend, DrainStrategy, DurabilityOptions, EvalStrategy,
-    FixpointMode, IncrementalDualSim, KernelBackend, QueryOutcome, QuerySession,
-    SessionDurability, SessionOptions, SlabBackend, SolverConfig,
+    build_sois, prune, solve_query, ChiBackend, DurabilityOptions, EvalStrategy, FixpointMode,
+    IncrementalDualSim, KernelBackend, QueryOutcome, QuerySession, SessionDurability,
+    SessionOptions, SlabBackend, SolverConfig,
 };
 use dualsim::engine::{Engine, HashJoinEngine, NestedLoopEngine};
 use dualsim::graph::{parse_ntriples, write_ntriples, GraphDb, GraphView};
@@ -89,9 +89,6 @@ options:
   --query-text 'Q'      query given inline
   --strategy S          rowwise | colwise | adaptive   (default adaptive)
   --fixpoint F          reeval | delta                 (default reeval)
-  --fixpoint-threads N  delta: drain the removal worklist sharded over N
-                        scoped threads (default 1 = sequential; identical
-                        solution and work counts for every N)
   --chi-backend B       dense | rle | auto             (default dense)
                         χ storage: dense bit vectors, run-length encoded
                         ones, or a per-solve choice from the seeded
@@ -102,9 +99,6 @@ options:
                         sparse hash counters, or a per-solve choice from
                         the same density bound the χ auto uses; identical
                         solution and logical work counts for every backend
-  --seed-threads N      delta: fan the eager counter seeds out over N
-                        scoped threads (default 1; identical solution and
-                        work counts for every N)
   --kernel-backend K    scalar | unrolled | simd | auto (default auto)
                         word-level kernel instantiation for the bit-vector
                         inner loops: portable scalar, 4x-unrolled, SIMD
@@ -180,11 +174,9 @@ struct Opts {
     query_text: Option<String>,
     strategy: EvalStrategy,
     fixpoint: FixpointMode,
-    fixpoint_threads: usize,
     chi_backend: ChiBackend,
     slab_backend: SlabBackend,
     kernel_backend: KernelBackend,
-    seed_threads: usize,
     early_exit: bool,
     updates: Option<String>,
     wal: Option<String>,
@@ -210,11 +202,9 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         query_text: None,
         strategy: EvalStrategy::Adaptive,
         fixpoint: FixpointMode::Reevaluate,
-        fixpoint_threads: 1,
         chi_backend: ChiBackend::Dense,
         slab_backend: SlabBackend::Dense,
         kernel_backend: KernelBackend::Auto,
-        seed_threads: 1,
         early_exit: true,
         updates: None,
         wal: None,
@@ -296,14 +286,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                     other => return Err(format!("unknown fixpoint engine {other:?}")),
                 };
             }
-            "--fixpoint-threads" => {
-                opts.fixpoint_threads = value()?
-                    .parse()
-                    .map_err(|e| format!("--fixpoint-threads: {e}"))?;
-                if opts.fixpoint_threads == 0 {
-                    return Err("--fixpoint-threads must be at least 1".into());
-                }
-            }
             "--chi-backend" => {
                 let name = value()?;
                 opts.chi_backend = ChiBackend::from_name(&name)
@@ -318,14 +300,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                 let name = value()?;
                 opts.kernel_backend = KernelBackend::from_name(&name)
                     .ok_or_else(|| format!("unknown kernel backend {name:?}"))?;
-            }
-            "--seed-threads" => {
-                opts.seed_threads = value()?
-                    .parse()
-                    .map_err(|e| format!("--seed-threads: {e}"))?;
-                if opts.seed_threads == 0 {
-                    return Err("--seed-threads must be at least 1".into());
-                }
             }
             "--no-early-exit" => opts.early_exit = false,
             "--pruned" => opts.pruned = true,
@@ -922,17 +896,9 @@ fn config(opts: &Opts) -> SolverConfig {
     SolverConfig {
         strategy: opts.strategy,
         fixpoint: opts.fixpoint,
-        drain: if opts.fixpoint_threads > 1 {
-            DrainStrategy::Sharded {
-                threads: opts.fixpoint_threads,
-            }
-        } else {
-            DrainStrategy::Sequential
-        },
         chi_backend: opts.chi_backend,
         slab_backend: opts.slab_backend,
         kernel_backend: opts.kernel_backend,
-        seed_threads: opts.seed_threads,
         early_exit: opts.early_exit,
         drain_budget: opts.drain_budget,
         journal: opts.journal,
@@ -1109,14 +1075,10 @@ mod tests {
             "rowwise",
             "--fixpoint",
             "delta",
-            "--fixpoint-threads",
-            "4",
             "--chi-backend",
             "rle",
             "--slab-backend",
             "sparse",
-            "--seed-threads",
-            "3",
             "--no-early-exit",
             "--limit",
             "7",
@@ -1129,12 +1091,21 @@ mod tests {
         assert_eq!(opts.data.as_deref(), Some("db.nt"));
         assert_eq!(opts.strategy, EvalStrategy::RowWise);
         assert_eq!(opts.fixpoint, FixpointMode::DeltaCounting);
-        assert_eq!(opts.fixpoint_threads, 4);
         assert_eq!(opts.chi_backend, ChiBackend::Rle);
         assert_eq!(opts.slab_backend, SlabBackend::Sparse);
-        assert_eq!(opts.seed_threads, 3);
         assert!(!opts.early_exit);
         assert_eq!(opts.limit, 7);
+        // Solves run on the calling thread: no thread-count flag exists.
+        for removed in ["--fixpoint-threads", "--seed-threads"] {
+            let args: Vec<String> = ["solve", removed, "4"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let Err(err) = parse_args(&args) else {
+                panic!("{removed} parsed");
+            };
+            assert!(err.starts_with("unknown flag"), "{removed}: {err}");
+        }
     }
 
     #[test]
@@ -1150,10 +1121,11 @@ mod tests {
                 .collect();
             assert_eq!(parse_args(&args).unwrap().slab_backend, expected);
         }
-        for bad in [&["solve", "--slab-backend", "rle"][..], &["solve", "--seed-threads", "0"][..]] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(parse_args(&args).is_err(), "{bad:?}");
-        }
+        let args: Vec<String> = ["solve", "--slab-backend", "rle"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert!(parse_args(&args).is_err());
     }
 
     #[test]
@@ -1237,15 +1209,6 @@ mod tests {
     #[test]
     fn parse_args_rejects_bad_snapshot_retention() {
         let args: Vec<String> = ["serve", "--keep-snapshots", "many"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(parse_args(&args).is_err());
-    }
-
-    #[test]
-    fn parse_args_rejects_zero_fixpoint_threads() {
-        let args: Vec<String> = ["solve", "--fixpoint-threads", "0"]
             .iter()
             .map(|s| s.to_string())
             .collect();
