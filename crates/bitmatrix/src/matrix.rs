@@ -391,43 +391,52 @@ impl BitMatrix {
     /// Builds a matrix from an edge list of `(row, col)` pairs.
     /// Duplicates are removed; the input order is irrelevant.
     ///
+    /// A counting sort buckets the edges by row, with one counter per
+    /// non-empty row; each row is then sorted and deduplicated in place.
+    /// No step sorts the whole list: `O(|edges| + dim/64)` plus the
+    /// per-row sorts.
+    ///
     /// # Panics
-    /// Panics if any index is `>= dim` or if the number of entries
+    /// Panics if any index is `>= dim` or if the number of edges
     /// overflows `u32`.
     pub fn from_edges(dim: usize, edges: &[(u32, u32)]) -> Self {
-        let mut keys: Vec<u64> = edges
-            .iter()
-            .map(|&(r, c)| {
-                assert!(
-                    (r as usize) < dim && (c as usize) < dim,
-                    "edge ({r},{c}) out of bounds {dim}"
-                );
-                (u64::from(r) << 32) | u64::from(c)
-            })
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        BitMatrix::from_sorted_keys(dim, &keys)
-    }
-
-    /// Builds a matrix from its entries packed as `row << 32 | col`,
-    /// sorted ascending and distinct, picking the row index from the
-    /// share of non-empty rows. Allocates the matrix and nothing else.
-    fn from_sorted_keys(dim: usize, keys: &[u64]) -> Self {
-        assert!(keys.len() <= u32::MAX as usize, "too many matrix entries");
-        let rows = || keys.chunk_by(|a, b| a >> 32 == b >> 32);
+        assert!(edges.len() <= u32::MAX as usize, "too many matrix entries");
         let mut summary = BitVec::zeros(dim);
-        for row in rows() {
-            summary.set((row[0] >> 32) as usize);
+        for &(r, c) in edges {
+            assert!(
+                (r as usize) < dim && (c as usize) < dim,
+                "edge ({r},{c}) out of bounds {dim}"
+            );
+            summary.set(r as usize);
         }
-        let nonempty = rows().count();
-        let mut end = 0u32;
-        let row_ends = rows().map(|row| {
-            end += row.len() as u32;
-            ((row[0] >> 32) as usize, end)
-        });
-        let targets = keys.iter().map(|&k| k as u32).collect();
-        BitMatrix::assemble(dim, summary, nonempty, row_ends, targets)
+        let rank = rank_directory(&summary);
+        let (mut targets, mut ends) = bucket_by_row(
+            &summary,
+            &rank,
+            edges.len(),
+            edges.iter().map(|&(r, _)| r),
+            edges.iter().copied(),
+        );
+        let (mut start, mut kept) = (0usize, 0usize);
+        for end in &mut ends {
+            let row_end = *end as usize;
+            targets[start..row_end].sort_unstable();
+            let first = kept;
+            for k in start..row_end {
+                let col = targets[k];
+                if kept == first || targets[kept - 1] != col {
+                    targets[kept] = col;
+                    kept += 1;
+                }
+            }
+            start = row_end;
+            *end = kept as u32;
+        }
+        if kept < targets.len() {
+            targets.truncate(kept);
+            targets.shrink_to_fit();
+        }
+        BitMatrix::assemble(dim, summary, rank, &ends, targets)
     }
 
     /// Builds a matrix from its compressed rows as a graph image stores
@@ -500,59 +509,42 @@ impl BitMatrix {
         for &row in rows {
             summary.set(row as usize);
         }
-        let row_ends = rows
-            .iter()
-            .zip(ends)
-            .map(|(&row, &end)| (row as usize, end));
-        Ok(BitMatrix::assemble(
-            dim,
-            summary,
-            rows.len(),
-            row_ends,
-            targets,
-        ))
+        let rank = rank_directory(&summary);
+        Ok(BitMatrix::assemble(dim, summary, rank, ends, targets))
     }
 
     /// Lays out a matrix from checked parts: `summary` marks the
-    /// `nonempty` rows, `row_ends` yields each of them ascending with
-    /// where it ends in `targets`. Picks the row index from the share of
-    /// non-empty rows and allocates every array at its exact size.
+    /// non-empty rows, `rank` is its [`rank_directory`], and `ends[k]` is
+    /// where the `k`-th non-empty row ends in `targets`. Picks the row
+    /// index from the share of non-empty rows and allocates every array
+    /// at its exact size.
     fn assemble(
         dim: usize,
         summary: BitVec,
-        nonempty: usize,
-        row_ends: impl Iterator<Item = (usize, u32)>,
+        rank: Box<[u32]>,
+        ends: &[u32],
         targets: Vec<u32>,
     ) -> Self {
+        let nonempty = ends.len();
+        debug_assert_eq!(summary.count_ones(), nonempty);
         let ranked = nonempty * RANKED_BELOW_ONE_IN < dim;
         let entries = if ranked { nonempty } else { dim } + 1;
         let mut offsets = Vec::with_capacity(entries);
-        let mut start = 0u32;
-        for (row, end) in row_ends {
-            if !ranked {
+        offsets.push(0);
+        if ranked {
+            offsets.extend_from_slice(ends);
+        } else {
+            for (row, &end) in summary.iter_ones().zip(ends) {
                 // The empty rows before this one start where it does.
-                offsets.resize(row, start);
+                offsets.resize(row + 1, offsets[offsets.len() - 1]);
+                offsets.push(end);
             }
-            offsets.push(start);
-            start = end;
+            offsets.resize(entries, targets.len() as u32);
         }
-        offsets.resize(entries, start);
-        let rank = ranked.then(|| {
-            let mut before = 0u32;
-            summary
-                .blocks()
-                .iter()
-                .map(|block| {
-                    let here = before;
-                    before += block.count_ones();
-                    here
-                })
-                .collect()
-        });
         BitMatrix {
             dim,
             offsets,
-            rank,
+            rank: ranked.then_some(rank),
             targets,
             summary,
         }
@@ -956,22 +948,128 @@ impl BitMatrix {
             + self.summary.heap_bytes()
     }
 
-    /// Builds the transposed matrix.
+    /// Builds the transposed matrix by a counting sort: the output's
+    /// summary is the set of columns, each column gets a counter reached
+    /// by rank over it, and the rows are scattered in ascending order, so
+    /// every output row comes out sorted. `O(nnz + dim/64)`, with no
+    /// histogram of `dim` entries.
     pub fn transpose(&self) -> BitMatrix {
-        let mut keys = Vec::with_capacity(self.nnz());
-        keys.extend(
-            self.entries()
-                .map(|(i, j)| (u64::from(j) << 32) | u64::from(i)),
+        let mut summary = BitVec::zeros(self.dim);
+        for &col in &self.targets {
+            summary.set(col as usize);
+        }
+        let rank = rank_directory(&summary);
+        let (targets, ends) = bucket_by_row(
+            &summary,
+            &rank,
+            self.nnz(),
+            self.targets.iter().copied(),
+            self.entries().map(|(i, j)| (j, i)),
         );
-        keys.sort_unstable();
-        BitMatrix::from_sorted_keys(self.dim, &keys)
+        BitMatrix::assemble(self.dim, summary, rank, &ends, targets)
     }
 
     /// Iterator over all `(row, col)` one-entries.
     pub fn entries(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.summary
-            .iter_ones()
-            .flat_map(move |i| self.row(i).iter().map(move |&j| (i as u32, j)))
+        self.rows()
+            .flat_map(|(i, row)| row.iter().map(move |&j| (i as u32, j)))
+    }
+
+    /// The non-empty rows, ascending, each with its columns: one walk of
+    /// the summary and the offsets, with no rank lookup.
+    fn rows(&self) -> impl Iterator<Item = (usize, &[u32])> + '_ {
+        let ranked = self.rank.is_some();
+        self.summary.iter_ones().enumerate().map(move |(k, i)| {
+            let at = if ranked { k } else { i };
+            let bounds = self.offsets[at] as usize..self.offsets[at + 1] as usize;
+            (i, &self.targets[bounds])
+        })
+    }
+}
+
+/// `rank[b]` counts the set bits of `summary` before block `b`: the
+/// ranked index's directory.
+fn rank_directory(summary: &BitVec) -> Box<[u32]> {
+    let mut before = 0u32;
+    summary
+        .blocks()
+        .iter()
+        .map(|block| {
+            let here = before;
+            before += block.count_ones();
+            here
+        })
+        .collect()
+}
+
+/// Counting sort of `len` entries by row. `summary` marks exactly the
+/// rows the entries name, and `rank` is its [`rank_directory`]; `rows`
+/// yields every entry's row (the counting pass) and `entries` every
+/// `(row, col)` (the scatter pass). Returns the columns grouped by row,
+/// ascending by row and in `entries` order within a row, and where each
+/// non-empty row ends. One counter per non-empty row, reached by rank
+/// over `summary`: `O(len + dim/64)` time and memory, however many rows
+/// are empty.
+fn bucket_by_row(
+    summary: &BitVec,
+    rank: &[u32],
+    len: usize,
+    rows: impl Iterator<Item = u32>,
+    entries: impl Iterator<Item = (u32, u32)>,
+) -> (Vec<u32>, Vec<u32>) {
+    const B: usize = crate::bitvec::BLOCK_BITS;
+    let blocks = summary.blocks();
+    let slot = |row: u32| {
+        let (block, bit) = (row as usize / B, row as usize % B);
+        rank[block] as usize + (blocks[block] & ((1u64 << bit) - 1)).count_ones() as usize
+    };
+    let nonempty = rank.last().map_or(0, |&before| before as usize)
+        + blocks.last().map_or(0, |last| last.count_ones() as usize);
+    let mut next = vec![0u32; nonempty];
+    for row in rows {
+        next[slot(row)] += 1;
+    }
+    let mut start = 0u32;
+    for count in &mut next {
+        start += std::mem::replace(count, start);
+    }
+    let mut cols = vec![0u32; len];
+    for (row, col) in entries {
+        let k = slot(row);
+        cols[next[k] as usize] = col;
+        next[k] += 1;
+    }
+    (cols, next)
+}
+
+/// The sorted-key constructions the counting sorts replaced, kept as the
+/// tests' reference: pack every entry as `row << 32 | col`, sort and
+/// deduplicate.
+#[cfg(test)]
+impl BitMatrix {
+    pub(crate) fn from_edges_by_sorting(dim: usize, edges: &[(u32, u32)]) -> Self {
+        let mut keys: Vec<u64> = edges
+            .iter()
+            .map(|&(r, c)| (u64::from(r) << 32) | u64::from(c))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut summary = BitVec::zeros(dim);
+        let mut ends = Vec::new();
+        for (k, key) in keys.iter().enumerate() {
+            if keys.get(k + 1).is_none_or(|next| next >> 32 != key >> 32) {
+                summary.set((key >> 32) as usize);
+                ends.push(k as u32 + 1);
+            }
+        }
+        let targets = keys.iter().map(|&k| k as u32).collect();
+        let rank = rank_directory(&summary);
+        BitMatrix::assemble(dim, summary, rank, &ends, targets)
+    }
+
+    pub(crate) fn transpose_by_sorting(&self) -> Self {
+        let swapped: Vec<(u32, u32)> = self.entries().map(|(i, j)| (j, i)).collect();
+        BitMatrix::from_edges_by_sorting(self.dim, &swapped)
     }
 }
 

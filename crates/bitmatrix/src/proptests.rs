@@ -43,6 +43,85 @@ fn arb_matrix_either_index() -> impl Strategy<Value = BitMatrix> {
     prop_oneof![4 => ranked, 3 => small_dense, 1 => arb_matrix()]
 }
 
+/// Edge lists for the counting-sort constructions: dimensions from 0 up
+/// (across a block boundary and past one row in 16 of 150), repeated
+/// edges, empty rows, and rows or columns drawn from pools of at most 11
+/// ids, so that either direction may get either row index.
+fn arb_edge_list() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+    (
+        0usize..7,
+        (
+            proptest::collection::vec(any::<u32>(), 1..12),
+            proptest::collection::vec(any::<u32>(), 1..12),
+        ),
+        (any::<bool>(), any::<bool>()),
+        proptest::collection::vec((any::<u32>(), any::<u32>()), 0..120),
+        0usize..20,
+    )
+        .prop_map(
+            |(d, (row_pool, col_pool), (few_rows, few_cols), raw, repeats)| {
+                let dim = [0, 1, 2, 63, 65, 150, 300][d];
+                if dim == 0 {
+                    return (0, Vec::new());
+                }
+                let pick = |pool: &[u32], few: bool, x: u32| {
+                    let x = if few {
+                        pool[x as usize % pool.len()]
+                    } else {
+                        x
+                    };
+                    x % dim as u32
+                };
+                let mut edges: Vec<(u32, u32)> = raw
+                    .into_iter()
+                    .map(|(r, c)| (pick(&row_pool, few_rows, r), pick(&col_pool, few_cols, c)))
+                    .collect();
+                for k in 0..repeats.min(edges.len()) {
+                    edges.push(edges[k * 7 % edges.len()]);
+                }
+                (dim, edges)
+            },
+        )
+}
+
+/// Both matrices are the same, down to the row index and the allocation.
+fn assert_identical(got: &BitMatrix, want: &BitMatrix) {
+    prop_assert_eq!(got.dim(), want.dim());
+    prop_assert_eq!(
+        got.entries().collect::<Vec<_>>(),
+        want.entries().collect::<Vec<_>>()
+    );
+    prop_assert_eq!(got.row_summary(), want.row_summary());
+    prop_assert_eq!(got.is_ranked(), want.is_ranked());
+    prop_assert_eq!(got.heap_bytes(), want.heap_bytes());
+    prop_assert!(got.same_entries(want));
+}
+
+/// [`arb_edge_list`] reaches what the counting-sort oracle must cover:
+/// dimension 0, repeated edges, and matrices and transposes of either
+/// row index.
+#[test]
+fn edge_lists_reach_every_shape() {
+    let mut rng = proptest::test_runner::TestRng::deterministic("edge-list-coverage");
+    let lists = arb_edge_list();
+    let (mut empty_dim, mut repeated, mut ranked, mut dense) = (0, 0, 0, 0);
+    for _ in 0..64 {
+        let (dim, edges) = lists.generate(&mut rng);
+        empty_dim += usize::from(dim == 0);
+        let m = BitMatrix::from_edges(dim, &edges);
+        repeated += usize::from(m.nnz() < edges.len());
+        for m in [m.transpose(), m] {
+            if m.is_ranked() {
+                ranked += 1;
+            } else {
+                dense += 1;
+            }
+        }
+    }
+    println!("64 lists: {empty_dim} of dim 0, {repeated} with repeats, {ranked} ranked and {dense} dense");
+    assert!(empty_dim > 0 && repeated > 0 && ranked >= 16 && dense >= 16);
+}
+
 /// A selector that is mostly ones (a few bits cleared), exercising the
 /// dense block-skip fast paths — including whole all-ones blocks.
 fn arb_dense_bitvec() -> impl Strategy<Value = BitVec> {
@@ -348,6 +427,35 @@ proptest! {
             prop_assert!(t.get(j as usize, i as usize));
         }
         prop_assert_eq!(m.nnz(), t.nnz());
+    }
+
+    /// The counting sorts build the matrix the sorted-key construction
+    /// built: `from_edges` and `transpose` (of a built and of an edited
+    /// matrix) against the test-only reference, entries, row index and
+    /// allocation alike.
+    #[test]
+    fn counting_sorts_equal_the_sorted_key_construction(
+        list in arb_edge_list(),
+        edits in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..8),
+    ) {
+        let (dim, edges) = list;
+        let m = BitMatrix::from_edges(dim, &edges);
+        assert_identical(&m, &BitMatrix::from_edges_by_sorting(dim, &edges));
+        assert_identical(&m.transpose(), &m.transpose_by_sorting());
+        if dim > 0 {
+            // An edited matrix has spare capacity and may keep an index
+            // its share no longer picks; its transpose is built fresh.
+            let mut edited = m;
+            let mut batch: Vec<(u32, u32)> = edits
+                .into_iter()
+                .map(|(r, c)| (r % dim as u32, c % dim as u32))
+                .collect();
+            batch.sort_unstable();
+            let present: Vec<(u32, u32)> = edited.entries().step_by(3).collect();
+            edited.apply_sorted(false, &present);
+            edited.apply_sorted(true, &batch);
+            assert_identical(&edited.transpose(), &edited.transpose_by_sorting());
+        }
     }
 
     #[test]

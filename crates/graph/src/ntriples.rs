@@ -1,38 +1,58 @@
-//! Minimal N-Triples import/export.
+//! N-Triples import and export.
 //!
-//! Supports the line-based subset needed for the benchmark datasets:
-//! `<iri> <iri> <iri> .` and `<iri> <iri> "literal" .` with the standard
-//! string escapes. Language tags and datatype suffixes after the closing
-//! quote are preserved verbatim as part of the literal text, which is all
-//! the dual-simulation machinery needs (literals are opaque nodes).
+//! [`parse_ntriples`] reads the line-based subset of N-Triples 1.1 that
+//! the data model of Def. 1 can hold, one triple per line:
+//!
+//! * the subject and the predicate are `<iri>`; the object is an `<iri>`
+//!   or a literal `"…"`, which a language tag `@[a-zA-Z]+(-[a-zA-Z0-9]+)*`
+//!   or a datatype `^^<iri>` may follow;
+//! * the triple ends with `.`, which a `# comment` may follow; blank
+//!   lines and comment lines are skipped;
+//! * a literal may use the escapes `\t \b \n \r \f \" \' \\`, `\uXXXX`
+//!   and `\UXXXXXXXX`; the last two must name a Unicode scalar value (no
+//!   surrogate).
+//!
+//! IRIs are taken verbatim between `<` and `>`, with no escapes decoded;
+//! blank nodes are not accepted. A literal's annotation stays part of its
+//! text (`"hallo"@de` is the literal node `hallo@de`), which is all the
+//! dual-simulation machinery needs: literals are opaque nodes.
+//!
+//! The scan allocates nothing per term. IRIs, and literals with neither
+//! an escape nor an annotation, are slices of the input; any other
+//! literal is built in one buffer that every line reuses. The names are
+//! copied once, into the dictionary ([`crate::Vocabulary`]).
+//!
+//! [`write_ntriples`] writes `<s> <p> <o> .` and `<s> <p> "literal" .`
+//! lines, escaping `"`, `\`, newline, tab and carriage return in
+//! literals, and [`parse_ntriples`] reads them back to the same triples.
 
 use crate::{GraphDb, GraphDbBuilder, GraphError, NodeKind};
 use std::fmt::Write as _;
 
-/// Parses an N-Triples document into a [`GraphDb`].
+/// Parses an N-Triples document into a [`GraphDb`]. Node and label ids
+/// are given out in first occurrence, the subject before the object, as
+/// [`GraphDbBuilder::add_triple`] gives them.
 ///
-/// Empty lines and `#` comment lines are skipped.
+/// # Errors
+/// [`GraphError::Parse`] with the 1-based line number for a line outside
+/// the accepted subset (see the module docs), and
+/// [`GraphError::KindConflict`] for a name used both as an IRI and as a
+/// literal.
 pub fn parse_ntriples(input: &str) -> Result<GraphDb, GraphError> {
     let mut builder = GraphDbBuilder::new();
+    let mut decoded = String::new();
     for (idx, raw) in input.lines().enumerate() {
-        let line = raw.trim();
+        let line = raw.trim_start();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let line_no = idx + 1;
-        let mut rest = line;
-        let s = take_iri(&mut rest, line_no)?;
-        let p = take_iri(&mut rest, line_no)?;
-        let rest_trim = rest.trim_start();
-        if let Some(stripped) = rest_trim.strip_prefix('"') {
-            let (lit, tail) = take_literal(stripped, line_no)?;
-            expect_dot(tail, line_no)?;
-            builder.add_attribute(&s, &p, &lit)?;
-        } else {
-            let mut tail = rest_trim;
-            let o = take_iri(&mut tail, line_no)?;
-            expect_dot(tail, line_no)?;
-            builder.add_triple(&s, &p, &o)?;
+        let (s, p, o) = scan_triple(line, &mut decoded).map_err(|message| GraphError::Parse {
+            line: idx + 1,
+            message,
+        })?;
+        match o {
+            Object::Iri(o) => builder.add_triple(s, p, o)?,
+            Object::Literal(o) => builder.add_attribute(s, p, o)?,
         }
     }
     Ok(builder.finish())
@@ -57,94 +77,173 @@ pub fn write_ntriples(db: &GraphDb) -> String {
     out
 }
 
-fn take_iri(rest: &mut &str, line: usize) -> Result<String, GraphError> {
-    let trimmed = rest.trim_start();
-    let Some(stripped) = trimmed.strip_prefix('<') else {
-        return Err(GraphError::Parse {
-            line,
-            message: format!("expected '<', found {:?}", head(trimmed)),
-        });
-    };
-    let Some(end) = stripped.find('>') else {
-        return Err(GraphError::Parse {
-            line,
-            message: "unterminated IRI".into(),
-        });
-    };
-    let iri = stripped[..end].to_owned();
-    *rest = &stripped[end + 1..];
-    Ok(iri)
+/// A scan step's result; the error is the message of a
+/// [`GraphError::Parse`].
+type Scan<T> = Result<T, String>;
+
+/// The object of a scanned triple.
+enum Object<'a> {
+    Iri(&'a str),
+    Literal(&'a str),
 }
 
-fn take_literal(s: &str, line: usize) -> Result<(String, &str), GraphError> {
-    let mut out = String::new();
-    let mut chars = s.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => {
-                // Keep any language tag / datatype annotation as part of
-                // the literal text so round-tripping stays lossless enough.
-                let mut tail = &s[i + 1..];
-                if let Some(tag_end) = annotation_end(tail) {
-                    out.push_str(&tail[..tag_end]);
-                    tail = &tail[tag_end..];
-                }
-                return Ok((out, tail));
-            }
-            '\\' => match chars.next() {
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, other)) => {
-                    return Err(GraphError::Parse {
-                        line,
-                        message: format!("unknown escape \\{other}"),
-                    })
-                }
-                None => {
-                    return Err(GraphError::Parse {
-                        line,
-                        message: "dangling escape at end of literal".into(),
-                    })
-                }
-            },
-            _ => out.push(c),
+/// Scans one non-blank, non-comment line into its three terms. A literal
+/// that must be built is built in `decoded`.
+fn scan_triple<'a>(line: &'a str, decoded: &'a mut String) -> Scan<(&'a str, &'a str, Object<'a>)> {
+    let mut rest = line;
+    let s = take_iri(&mut rest)?;
+    let p = take_iri(&mut rest)?;
+    rest = rest.trim_start();
+    let o = match rest.strip_prefix('"') {
+        Some(body) => {
+            let (literal, tail) = take_literal(body, decoded)?;
+            rest = tail;
+            Object::Literal(literal)
         }
-    }
-    Err(GraphError::Parse {
-        line,
-        message: "unterminated literal".into(),
-    })
+        None => Object::Iri(take_iri(&mut rest)?),
+    };
+    expect_end(rest)?;
+    Ok((s, p, o))
 }
 
-/// Length of a `@lang` or `^^<iri>` annotation prefix of `tail`, if any.
-fn annotation_end(tail: &str) -> Option<usize> {
-    if tail.starts_with('@') {
-        let end = tail.find(|c: char| c.is_whitespace()).unwrap_or(tail.len());
-        Some(end)
+fn take_iri<'a>(rest: &mut &'a str) -> Scan<&'a str> {
+    let trimmed = rest.trim_start();
+    let Some(body) = trimmed.strip_prefix('<') else {
+        return Err(format!("expected '<', found {:?}", head(trimmed)));
+    };
+    let end = body
+        .find('>')
+        .ok_or_else(|| "unterminated IRI".to_owned())?;
+    *rest = &body[end + 1..];
+    Ok(&body[..end])
+}
+
+/// Scans a literal whose opening quote is already consumed: its text,
+/// with the escapes decoded and the annotation appended, and what
+/// follows it. The text is a slice of `body` unless it has an escape or
+/// an annotation; then it is built in `decoded`.
+fn take_literal<'a>(body: &'a str, decoded: &'a mut String) -> Scan<(&'a str, &'a str)> {
+    let bytes = body.as_bytes();
+    let special = |from: usize| {
+        bytes[from..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map(|k| from + k)
+            .ok_or_else(|| "unterminated literal".to_owned())
+    };
+    let mut at = special(0)?;
+    let escaped = bytes[at] == b'\\';
+    if escaped {
+        decoded.clear();
+        let mut from = 0;
+        while bytes[at] == b'\\' {
+            decoded.push_str(&body[from..at]);
+            from = unescape(body, at + 1, decoded)?;
+            at = special(from)?;
+        }
+        decoded.push_str(&body[from..at]);
+    }
+    let tail = &body[at + 1..];
+    let annotation = annotation_len(tail)?;
+    if !escaped {
+        if annotation == 0 {
+            return Ok((&body[..at], tail));
+        }
+        decoded.clear();
+        decoded.push_str(&body[..at]);
+    }
+    decoded.push_str(&tail[..annotation]);
+    Ok((decoded.as_str(), &tail[annotation..]))
+}
+
+/// Decodes the escape whose backslash precedes `body[from]` into `out`
+/// and returns where the literal goes on.
+fn unescape(body: &str, from: usize, out: &mut String) -> Scan<usize> {
+    let Some(&c) = body.as_bytes().get(from) else {
+        return Err("dangling escape at end of literal".into());
+    };
+    let decoded = match c {
+        b't' => '\t',
+        b'b' => '\u{8}',
+        b'n' => '\n',
+        b'r' => '\r',
+        b'f' => '\u{c}',
+        b'"' => '"',
+        b'\'' => '\'',
+        b'\\' => '\\',
+        b'u' | b'U' => {
+            let digits = if c == b'u' { 4 } else { 8 };
+            let hex = body
+                .get(from + 1..from + 1 + digits)
+                .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                .ok_or_else(|| format!("\\{} needs {digits} hex digits", char::from(c)))?;
+            let value = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+            out.push(char::from_u32(value).ok_or_else(|| {
+                format!("\\{}{hex} is not a Unicode scalar value", char::from(c))
+            })?);
+            return Ok(from + 1 + digits);
+        }
+        _ => {
+            let other = body[from..].chars().next().unwrap_or_default();
+            return Err(format!("unknown escape \\{other}"));
+        }
+    };
+    out.push(decoded);
+    Ok(from + 1)
+}
+
+/// Length of the `@lang` or `^^<iri>` annotation that starts `tail`; 0
+/// if there is none.
+fn annotation_len(tail: &str) -> Scan<usize> {
+    let bytes = tail.as_bytes();
+    let run =
+        |from: usize, pred: fn(&u8) -> bool| bytes[from..].iter().take_while(|b| pred(b)).count();
+    if bytes.first() == Some(&b'@') {
+        let letters = run(1, u8::is_ascii_alphabetic);
+        if letters == 0 {
+            return Err(format!("bad language tag {:?}", head(tail)));
+        }
+        let mut end = 1 + letters;
+        while bytes.get(end) == Some(&b'-') {
+            let sub = run(end + 1, u8::is_ascii_alphanumeric);
+            if sub == 0 {
+                break;
+            }
+            end += 1 + sub;
+        }
+        Ok(end)
     } else if tail.starts_with("^^<") {
-        tail.find('>').map(|i| i + 1)
+        tail.find('>')
+            .map(|end| end + 1)
+            .ok_or_else(|| "unterminated datatype IRI".to_owned())
     } else {
-        None
+        Ok(0)
     }
 }
 
-fn expect_dot(rest: &str, line: usize) -> Result<(), GraphError> {
-    let t = rest.trim();
-    if t == "." {
+/// Accepts what follows the object: `.`, then nothing but whitespace or
+/// a comment.
+fn expect_end(rest: &str) -> Scan<()> {
+    let t = rest.trim_start();
+    let Some(after) = t.strip_prefix('.') else {
+        return Err(format!("expected terminating '.', found {:?}", head(t)));
+    };
+    let after = after.trim_start();
+    if after.is_empty() || after.starts_with('#') {
         Ok(())
     } else {
-        Err(GraphError::Parse {
-            line,
-            message: format!("expected terminating '.', found {:?}", head(t)),
-        })
+        Err(format!("unexpected {:?} after '.'", head(after)))
     }
 }
 
+/// The first 12 bytes of `s` for an error message, cut back to a char
+/// boundary.
 fn head(s: &str) -> &str {
-    &s[..s.len().min(12)]
+    let mut end = s.len().min(12);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
 }
 
 fn escape(s: &str) -> String {
@@ -252,5 +351,85 @@ mod tests {
             parse_ntriples("<a> <p> \"oops .\n"),
             Err(GraphError::Parse { .. })
         ));
+    }
+
+    fn parse_error(text: &str) -> (usize, String) {
+        match parse_ntriples(text) {
+            Err(GraphError::Parse { line, message }) => (line, message),
+            other => panic!("expected a parse error for {text:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_non_ascii_input_is_an_error_not_a_panic() {
+        assert_eq!(parse_error("aéééééééé .\n").0, 1);
+        assert_eq!(parse_error("<a> <p> <b> .\n<a> <p> <b> xéééééééé\n").0, 2);
+        // Byte 12 falls inside the sixth 'é': the excerpt stops before it.
+        assert_eq!(head("aéééééééé"), "aééééé");
+    }
+
+    #[test]
+    fn language_tags_end_where_the_grammar_says() {
+        let db = parse_ntriples(
+            "<a> <p> \"x\"@en.\n\
+             <a> <p> \"y\"@en-US .\n\
+             <a> <p> \"z\"@de-1996.\n",
+        )
+        .unwrap();
+        for name in ["x@en", "y@en-US", "z@de-1996"] {
+            assert_eq!(db.node_kind(db.node_id(name).unwrap()), NodeKind::Literal);
+        }
+        for bad in [
+            "<a> <p> \"x\"@ .\n",
+            "<a> <p> \"x\"@en-.\n",
+            "<a> <p> \"x\"@1 .\n",
+        ] {
+            assert_eq!(parse_error(bad).0, 1, "{bad}");
+        }
+    }
+
+    #[test]
+    fn comments_may_follow_the_dot() {
+        let db = parse_ntriples(
+            "<a> <p> <b> . # comment\n\
+             <a> <q> \"v\" .#\n\
+             <b> <p> <c>.\t# another\n",
+        )
+        .unwrap();
+        assert_eq!(db.num_triples(), 3);
+        let (line, message) = parse_error("<a> <p> <b> . <c>\n");
+        assert_eq!(line, 1);
+        assert!(message.contains("after '.'"), "{message}");
+    }
+
+    #[test]
+    fn every_n_triples_escape_is_decoded() {
+        let db = parse_ntriples(
+            "<a> <p> \"caf\\u00e9 \\U0001F600\" .\n\
+             <a> <p> \"\\b\\f\\'\\t\\n\\r\\\"\\\\\" .\n\
+             <a> <p> \"\\u0041\"@en .\n",
+        )
+        .unwrap();
+        assert!(db.node_id("café 😀").is_some());
+        assert!(db.node_id("\u{8}\u{c}'\t\n\r\"\\").is_some());
+        assert!(db.node_id("A@en").is_some());
+    }
+
+    #[test]
+    fn bad_hex_escapes_are_errors_with_line_numbers() {
+        for bad in [
+            "\\uD800",
+            "\\UDFFF0000",
+            "\\U00110000",
+            "\\u12G4",
+            "\\u+123",
+            "\\u12",
+            "\\U0001F60",
+            "\\x41",
+            "\\é",
+        ] {
+            let text = format!("<a> <p> <b> .\n<a> <p> \"{bad}\" .\n");
+            assert_eq!(parse_error(&text).0, 2, "{bad}");
+        }
     }
 }

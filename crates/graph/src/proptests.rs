@@ -17,6 +17,67 @@ fn arb_db() -> impl Strategy<Value = GraphDb> {
     })
 }
 
+/// Literal texts that need every escape the writer emits, non-ASCII
+/// characters and the empty string; none is also an IRI name.
+const LITERALS: [&str; 10] = [
+    "",
+    "plain",
+    "say \"hi\"",
+    "back\\slash",
+    "two\nlines",
+    "tab\there",
+    "cr\r",
+    "café",
+    "日本語 😀",
+    "\\\"\n\t\r",
+];
+
+/// Lines `(subject, label, object, literal object)` over the IRIs `n0` to
+/// `n11`, four labels and [`LITERALS`].
+fn arb_lines() -> impl Strategy<Value = Vec<(u8, u8, u8, bool)>> {
+    proptest::collection::vec((0u8..12, 0u8..4, 0u8..12, any::<bool>()), 0..50)
+}
+
+/// Feeds `lines` to a builder, in order.
+fn build_lines(lines: &[(u8, u8, u8, bool)]) -> GraphDb {
+    let mut b = GraphDbBuilder::new();
+    for &(s, p, o, literal) in lines {
+        let (s, p) = (format!("n{s}"), format!("p{p}"));
+        if literal {
+            b.add_attribute(&s, &p, LITERALS[o as usize % LITERALS.len()])
+                .unwrap();
+        } else {
+            b.add_triple(&s, &p, &format!("n{o}")).unwrap();
+        }
+    }
+    b.finish()
+}
+
+/// A literal's text as N-Triples, written differently from
+/// [`write_ntriples`] by `style`: tabs and non-ASCII characters either
+/// raw or as `\u`/`\U` escapes.
+fn escape_by(text: &str, style: u8) -> String {
+    let mut out = String::new();
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' if style & 1 == 0 => out.push_str("\\u0009"),
+            c if !c.is_ascii() && style & 1 == 0 => {
+                if u32::from(c) > 0xffff {
+                    out.push_str(&format!("\\U{:08X}", u32::from(c)));
+                } else {
+                    out.push_str(&format!("\\u{:04x}", u32::from(c)));
+                }
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Graphs over 128 nodes whose four labels get the triples in shares of
 /// 8:4:2:1, so that a label's matrices come with either row index: the
 /// ranked one below 8 non-empty rows (one in 16), the dense one above.
@@ -65,6 +126,23 @@ fn wide_graphs_reach_both_indexes() {
     }
     println!("64 graphs: {ranked} ranked and {dense} dense label matrices");
     assert!(ranked * 4 >= ranked + dense && dense * 4 >= ranked + dense);
+}
+
+/// A name is an IRI or a literal for the whole text: whichever kind it
+/// meets second, as subject or object, is a `KindConflict`.
+#[test]
+fn a_name_of_both_kinds_is_a_kind_conflict() {
+    for text in [
+        "<a> <p> <x> .\n<b> <p> \"x\" .\n",
+        "<b> <p> \"x\" .\n<a> <p> <x> .\n",
+        "<b> <p> \"x\" .\n<x> <p> <a> .\n",
+    ] {
+        assert_eq!(
+            parse_ntriples(text).unwrap_err(),
+            GraphError::KindConflict("x".into()),
+            "{text}"
+        );
+    }
 }
 
 /// Every reader of `db` agrees with `with_triples` of `model`.
@@ -218,9 +296,10 @@ proptest! {
     }
 
     /// Serializing and re-parsing preserves the triple multiset at the
-    /// name level.
+    /// name level, literals with escapes included.
     #[test]
-    fn ntriples_round_trip(db in arb_db()) {
+    fn ntriples_round_trip(lines in arb_lines()) {
+        let db = build_lines(&lines);
         let text = write_ntriples(&db);
         let db2 = parse_ntriples(&text).unwrap();
         prop_assert_eq!(db.num_triples(), db2.num_triples());
@@ -237,6 +316,45 @@ proptest! {
             v
         };
         prop_assert_eq!(names(&db), names(&db2));
+    }
+
+    /// The dictionary of a parse is the builder's: `parse_ntriples` of
+    /// some lines gives every node and label the id, name and kind that
+    /// feeding the same terms in the same order to `add_triple` and
+    /// `add_attribute` gives, whatever the spacing, escapes, comments and
+    /// blank lines of the text.
+    #[test]
+    fn parse_assigns_the_builders_ids(
+        lines in arb_lines(),
+        styles in proptest::collection::vec(0u8..8, 50),
+    ) {
+        let mut text = String::new();
+        for (&(s, p, o, literal), &style) in lines.iter().zip(&styles) {
+            let object = if literal {
+                format!("\"{}\"", escape_by(LITERALS[o as usize % LITERALS.len()], style))
+            } else {
+                format!("<n{o}>")
+            };
+            let gap = if style & 2 == 0 { " " } else { "\t " };
+            let end = if style & 4 == 0 { " ." } else { ". # comment" };
+            text.push_str(&format!("{gap}<n{s}>{gap}<p{p}>{gap}{object}{end}\n"));
+            if style == 7 {
+                text.push_str("# a comment line\n\n");
+            }
+        }
+        let parsed = parse_ntriples(&text).unwrap();
+        let built = build_lines(&lines);
+        prop_assert_eq!(parsed.num_nodes(), built.num_nodes());
+        prop_assert_eq!(parsed.num_labels(), built.num_labels());
+        for v in 0..built.num_nodes() as u32 {
+            prop_assert_eq!(parsed.node_name(v), built.node_name(v));
+            prop_assert_eq!(parsed.node_kind(v), built.node_kind(v));
+            prop_assert_eq!(parsed.node_id(built.node_name(v)), Some(v));
+        }
+        for p in 0..built.num_labels() as u32 {
+            prop_assert_eq!(parsed.label_name(p), built.label_name(p));
+        }
+        prop_assert!(parsed.same_triples(&built));
     }
 
     /// `with_triples` behaves as a filter: the derived database contains
