@@ -83,49 +83,53 @@ use crate::{InitMode, Inequality, SimulationKind, Soi, Solution, SolveStats, Sol
 use dualsim_bitmatrix::{BitMatrix, ChiVec, CounterSlab, SeededSlabState, SlabBackend};
 use dualsim_graph::{GraphDb, Triple};
 
-/// One undo record of the epoch rollback journal. Records are appended
-/// as the mutation happens and replayed in reverse by
+/// One χ undo record of a maintenance epoch. Records are appended as
+/// the mutation happens and replayed in reverse by
 /// [`DeltaSolver::abort_epoch`]; each op's undo is its exact inverse,
-/// so a reverse replay restores the pre-epoch χ and counters bit for
-/// bit. `counts`, `stats` and the liveness flag are snapshot-restored
-/// wholesale instead of op-by-op (they are small and epoch-begin
-/// captures them in O(#vars)).
+/// so a reverse replay restores the pre-epoch χ bit for bit. They are
+/// logged whatever [`SolverConfig::journal`] says: the engine lends its
+/// χ as the published solution, so an aborted batch must never leave
+/// it half-applied.
 #[derive(Debug, Clone)]
-enum JournalOp {
+enum ChiUndo {
     /// χ\[v\] gained bit w (insertion re-admission); undo: clear it.
-    ChiSet { v: u32, w: u32 },
+    Set { v: u32, w: u32 },
     /// χ\[v\] lost bit w (cull, drain, retraction); undo: set it.
-    ChiClear { v: u32, w: u32 },
+    Clear { v: u32, w: u32 },
+    /// [`DeltaSolver::kill`] ran (early exit mid-epoch): χ was bulk
+    /// cleared, so the undo restores this pre-kill snapshot and the
+    /// remaining records unwind from there.
+    Killed { chi: Vec<ChiVec> },
+}
+
+/// One counter undo record of the epoch rollback journal (kept only
+/// when [`SolverConfig::journal`] is on), replayed in reverse after the
+/// χ records. Counter and χ undos commute, so the two logs need no
+/// common order.
+#[derive(Debug, Clone)]
+enum SlabUndo {
     /// `support[i][w]` was incremented; undo: decrement. (A sparse slab
     /// that spilled to dense on the increment stays spilled — the spill
     /// is a storage representation, counts and all future logical work
     /// are identical, and the storage gauges are snapshot-restored.)
-    SlabInc { i: u32, w: u32 },
+    Inc { i: u32, w: u32 },
     /// `support[i][w]` was decremented; undo: increment.
-    SlabDec { i: u32, w: u32 },
+    Dec { i: u32, w: u32 },
     /// `support[i]` was lazily seeded this epoch; undo:
     /// [`CounterSlab::unseed`] (the deferral certificate held before
     /// the batch, so it holds again once the batch is rolled back).
-    SlabSeeded { i: u32 },
-    /// [`DeltaSolver::kill`] ran (early exit mid-epoch): χ was bulk
-    /// cleared, so the undo restores this pre-kill snapshot and the
-    /// remaining journal unwinds from there.
-    Killed { chi: Vec<ChiVec> },
+    Seeded { i: u32 },
 }
 
-/// The undo state captured by [`DeltaSolver::begin_epoch`] when
+/// The counter undo state captured by [`DeltaSolver::begin_epoch`] when
 /// `SolverConfig::journal` is on.
 #[derive(Debug, Clone)]
 struct Journal {
-    ops: Vec<JournalOp>,
+    ops: Vec<SlabUndo>,
     /// Pre-epoch work counters, restored wholesale on abort (the
     /// robustness counters are then re-bumped on top, so degradations
     /// stay observable across their own rollback).
     stats: SolveStats,
-    /// Pre-epoch per-variable candidate counts.
-    counts: Vec<usize>,
-    /// Pre-epoch liveness.
-    dead: bool,
 }
 
 /// One in-flight maintenance epoch: every `retract_triples` /
@@ -134,9 +138,15 @@ struct Journal {
 /// pre-batch state instead of leaving half-applied counters.
 #[derive(Debug, Clone)]
 struct Epoch {
+    /// χ undo records, always kept.
+    chi_undo: Vec<ChiUndo>,
+    /// Pre-epoch per-variable candidate counts (restored with χ).
+    counts: Vec<usize>,
+    /// Pre-epoch liveness (restored with χ).
+    dead: bool,
     /// `None` iff `SolverConfig::journal` is off — the epoch then still
-    /// scopes the drain budget and failpoints, but an abort cannot
-    /// restore state and poisons the engine instead.
+    /// scopes the drain budget and failpoints and restores χ on abort,
+    /// but cannot roll the counters back and poisons the engine instead.
     journal: Option<Journal>,
     /// [`SolveStats::work_ops`] at epoch begin: the drain budget bounds
     /// the work *of this batch*, not the engine's lifetime total.
@@ -151,7 +161,7 @@ pub(crate) fn solve_delta(
     config: &SolverConfig,
     initial_chi: Vec<ChiVec>,
 ) -> Solution {
-    DeltaSolver::from_chi(db, soi, config, initial_chi).solution()
+    DeltaSolver::from_chi(db, soi, config, initial_chi).solution
 }
 
 #[inline]
@@ -284,7 +294,13 @@ impl ShardUnit {
 /// triple deletions without ever re-seeding.
 #[derive(Debug, Clone)]
 pub(crate) struct DeltaSolver {
-    chi: Vec<ChiVec>,
+    /// The current χ and the cumulative work counters (across the
+    /// initial solve and every later batch), kept as one [`Solution`]
+    /// so the engine can lend it as the published result.
+    solution: Solution,
+    /// `counts[v] = |χ(v)|`, kept up to date by every χ set and clear
+    /// and restored with χ on abort, so candidate totals never need a
+    /// popcount.
     counts: Vec<usize>,
     /// `support[i]` for edge inequality `i` with a known label; unseeded
     /// (and for subset / absent-label inequalities: permanently so)
@@ -338,9 +354,6 @@ pub(crate) struct DeltaSolver {
     /// single rows (set when the resolved χ backend is RLE — the
     /// backend under which one round's removals coalesce into runs).
     run_aware: bool,
-    /// Cumulative work counters (across the initial solve and every
-    /// later retraction).
-    stats: SolveStats,
     /// Set once an early exit emptied everything; the state is final and
     /// the counters are no longer meaningful.
     dead: bool,
@@ -440,7 +453,7 @@ impl DeltaSolver {
         debug_assert!(self.epoch.is_none(), "no snapshot mid-epoch");
         debug_assert!(self.queue.is_empty(), "worklist drained between batches");
         EngineState {
-            chi: self.chi.clone(),
+            chi: self.solution.chi.clone(),
             slabs: self
                 .support
                 .iter()
@@ -450,7 +463,7 @@ impl DeltaSolver {
                 })
                 .collect(),
             run_aware: self.run_aware,
-            stats: self.stats.clone(),
+            stats: self.solution.stats.clone(),
             dead: self.dead,
             poisoned: self.poisoned,
         }
@@ -498,7 +511,10 @@ impl DeltaSolver {
         let (edge_ineqs_by_source, edge_ineqs_by_target, subset_ineqs_by_sup, subset_ineqs_by_sub) =
             build_ineq_indexes(soi);
         Ok(DeltaSolver {
-            chi: state.chi,
+            solution: Solution {
+                chi: state.chi,
+                stats: state.stats,
+            },
             counts,
             support,
             queue: Vec::new(),
@@ -514,7 +530,6 @@ impl DeltaSolver {
             chi_word_total,
             slab_word_total,
             run_aware: state.run_aware,
-            stats: state.stats,
             dead: state.dead,
             epoch: None,
             poisoned: state.poisoned,
@@ -550,7 +565,7 @@ impl DeltaSolver {
             build_ineq_indexes(soi);
 
         let mut solver = DeltaSolver {
-            chi,
+            solution: Solution { chi, stats },
             counts,
             support: vec![CounterSlab::unseeded(plan.slab); soi.ineqs.len()],
             queue: Vec::new(),
@@ -566,7 +581,6 @@ impl DeltaSolver {
             chi_word_total,
             slab_word_total: 0,
             run_aware: plan.run_aware,
-            stats,
             dead: false,
             epoch: None,
             poisoned: false,
@@ -576,7 +590,7 @@ impl DeltaSolver {
         // (unknown constant, missing predicate support).
         for (v, var) in soi.vars.iter().enumerate() {
             if solver.counts[v] == 0 && var.mandatory {
-                solver.stats.emptied_mandatory = true;
+                solver.solution.stats.emptied_mandatory = true;
                 if config.early_exit {
                     solver.kill();
                     return solver;
@@ -608,18 +622,22 @@ impl DeltaSolver {
             };
             let matrix = multiply_matrix(db, a, forward);
             let column_summary = multiply_matrix(db, a, !forward).row_summary();
-            if solver.chi[source].covers_dense(matrix.row_summary())
-                && solver.chi[target].is_subset_of_dense(column_summary)
+            if solver.solution.chi[source].covers_dense(matrix.row_summary())
+                && solver.solution.chi[target].is_subset_of_dense(column_summary)
             {
-                solver.stats.seeds_deferred += 1;
+                solver.solution.stats.seeds_deferred += 1;
                 deferred[i] = true;
             } else {
                 let slab = &mut solver.support[i];
-                solver.stats.counter_inits += slab.seed(matrix, &solver.chi[source]);
+                solver.solution.stats.counter_inits +=
+                    slab.seed(matrix, &solver.solution.chi[source]);
                 solver.slab_word_total += slab.storage_words();
             }
         }
-        solver.stats.observe_slab_words(solver.slab_word_total);
+        solver
+            .solution
+            .stats
+            .observe_slab_words(solver.slab_word_total);
 
         // Enforce every non-deferred inequality once (the seeded χ may
         // violate them), turning each violation into queued removal
@@ -630,14 +648,14 @@ impl DeltaSolver {
             if deferred[i as usize] {
                 continue;
             }
-            solver.stats.evaluations += 1;
+            solver.solution.stats.evaluations += 1;
             removed.clear();
             let target = match soi.ineqs[i as usize] {
                 Inequality::Edge {
                     target, label: None, ..
                 } => {
                     // Empty matrix: the product is the zero vector.
-                    removed.extend(solver.chi[target].iter_ones().map(|w| w as u32));
+                    removed.extend(solver.solution.chi[target].iter_ones().map(|w| w as u32));
                     target
                 }
                 Inequality::Edge {
@@ -647,16 +665,16 @@ impl DeltaSolver {
                 } => {
                     removed.extend(unsupported(
                         &solver.support[i as usize],
-                        &solver.chi[target],
+                        &solver.solution.chi[target],
                     ));
                     target
                 }
                 Inequality::Subset { sub, sup } => {
-                    let words_before = solver.chi[sub].storage_words();
-                    let (sup_chi, sub_chi) = split_pair(&mut solver.chi, sup, sub);
+                    let words_before = solver.solution.chi[sub].storage_words();
+                    let (sup_chi, sub_chi) = split_pair(&mut solver.solution.chi, sup, sub);
                     sub_chi.drain_cleared(sup_chi, &mut removed);
-                    solver.chi_word_total =
-                        solver.chi_word_total - words_before + solver.chi[sub].storage_words();
+                    solver.chi_word_total = solver.chi_word_total - words_before
+                        + solver.solution.chi[sub].storage_words();
                     // drain_cleared already cleared the bits; enqueue
                     // without re-clearing.
                     for &w in &removed {
@@ -678,25 +696,32 @@ impl DeltaSolver {
         }
 
         // Seed enforcement can split RLE runs; sample before draining.
-        solver.stats.observe_chi_words(solver.chi_word_total);
+        solver
+            .solution
+            .stats
+            .observe_chi_words(solver.chi_word_total);
         // A cold solve runs outside any epoch, so the drain can neither
         // hit the budget nor a failpoint — the Err arm is unreachable.
         if early || solver.drain(db, soi, config).unwrap_or(false) {
             solver.kill();
         } else if !soi.ineqs.is_empty() {
             // The worklist-drain equivalent of one stabilization pass.
-            solver.stats.iterations = 1;
+            solver.solution.stats.iterations = 1;
         }
-        solver.stats.final_candidates = solver.counts.iter().sum();
+        solver.solution.stats.final_candidates = solver.counts.iter().sum();
         solver
     }
 
-    /// Snapshot of the current (converged) state.
-    pub(crate) fn solution(&self) -> Solution {
-        Solution {
-            chi: self.chi.clone(),
-            stats: self.stats.clone(),
-        }
+    /// The current χ and cumulative work counters, lent (between
+    /// batches: the converged state; after an abort: the restored
+    /// pre-batch χ).
+    pub(crate) fn solution(&self) -> &Solution {
+        &self.solution
+    }
+
+    /// `Σ |χ(v)|`, read from the per-variable counts in O(#variables).
+    pub(crate) fn candidates(&self) -> usize {
+        self.counts.iter().sum()
     }
 
     /// Maintains the largest solution after the given triples were
@@ -771,7 +796,7 @@ impl DeltaSolver {
         let mut batch: Vec<Triple> = deleted.to_vec();
         batch.sort_unstable();
         batch.dedup();
-        self.stats.iterations += 1;
+        self.solution.stats.iterations += 1;
         // Phase 1: take back the deleted entries' counter contributions.
         // No χ bit is cleared in this phase, so "u is still a source
         // candidate" is exactly "u's +1 is still in the counter" (a node
@@ -804,27 +829,25 @@ impl DeltaSolver {
                 }
                 if !self.support[i].is_seeded() {
                     let matrix = multiply_matrix(db_after, a, forward);
-                    let inits = self.support[i].seed(matrix, &self.chi[source]);
-                    self.stats.counter_inits += inits;
-                    self.stats.lazy_seeds += 1;
+                    let inits = self.support[i].seed(matrix, &self.solution.chi[source]);
+                    self.solution.stats.counter_inits += inits;
+                    self.solution.stats.lazy_seeds += 1;
                     self.slab_word_total += self.support[i].storage_words();
-                    self.journal_op(JournalOp::SlabSeeded { i: i as u32 });
+                    self.journal_op(SlabUndo::Seeded { i: i as u32 });
                     seeded_this_batch[i] = true;
                     zeroed.extend(
-                        unsupported(&self.support[i], &self.chi[target]).map(|w| (target, w)),
+                        unsupported(&self.support[i], &self.solution.chi[target])
+                            .map(|w| (target, w)),
                     );
                     continue;
                 }
                 // The multiply matrix M lost entry (u, w).
                 let (u, w) = if forward { (t.s, t.o) } else { (t.o, t.s) };
-                if !self.chi[source].get(u as usize) {
+                if !self.solution.chi[source].get(u as usize) {
                     continue;
                 }
-                self.stats.counter_decrements += 1;
-                self.journal_op(JournalOp::SlabDec {
-                    i: i as u32,
-                    w,
-                });
+                self.solution.stats.counter_decrements += 1;
+                self.journal_op(SlabUndo::Dec { i: i as u32, w });
                 if self.support[i].decrement(w as usize) == 0 {
                     zeroed.push((target, w));
                 }
@@ -835,7 +858,7 @@ impl DeltaSolver {
         // matrices.
         let mut early = false;
         for (target, w) in zeroed {
-            if self.chi[target].get(w as usize) {
+            if self.solution.chi[target].get(w as usize) {
                 self.clear_chi_bit(target, w as usize);
                 if self.remove_cleared_bit(soi, config, target, w) {
                     early = true;
@@ -847,9 +870,9 @@ impl DeltaSolver {
         if early || self.drain(db_after, soi, config)? {
             self.kill();
         }
-        self.stats.observe_chi_words(self.chi_word_total);
-        self.stats.observe_slab_words(self.slab_word_total);
-        self.stats.final_candidates = self.counts.iter().sum();
+        self.solution.stats.observe_chi_words(self.chi_word_total);
+        self.solution.stats.observe_slab_words(self.slab_word_total);
+        self.solution.stats.final_candidates = self.counts.iter().sum();
         Ok(())
     }
 
@@ -966,7 +989,7 @@ impl DeltaSolver {
             batch.iter().all(|&t| db_after.contains_triple(t)),
             "inserted triples must be present in db_after"
         );
-        self.stats.iterations += 1;
+        self.solution.stats.iterations += 1;
 
         // Phase 1: credit the inserted entries to the counters. No χ
         // bit changes in this phase, so "u is a source candidate" is
@@ -998,11 +1021,11 @@ impl DeltaSolver {
                     // deferral, so the covers certificate still holds
                     // and no deferred enforcement is due.
                     let matrix = multiply_matrix(db_after, a, forward);
-                    let inits = self.support[i].seed(matrix, &self.chi[source]);
-                    self.stats.counter_inits += inits;
-                    self.stats.lazy_seeds += 1;
+                    let inits = self.support[i].seed(matrix, &self.solution.chi[source]);
+                    self.solution.stats.counter_inits += inits;
+                    self.solution.stats.lazy_seeds += 1;
                     self.slab_word_total += self.support[i].storage_words();
-                    self.journal_op(JournalOp::SlabSeeded { i: i as u32 });
+                    self.journal_op(SlabUndo::Seeded { i: i as u32 });
                     seeded_this_batch[i] = true;
                 }
                 if seeded_this_batch[i] {
@@ -1010,15 +1033,19 @@ impl DeltaSolver {
                     // the 0→1 signal, so check the frontier directly.
                     // (Harmless over-approximation: the cull keeps only
                     // genuinely supported admissions.)
-                    if self.chi[source].get(u as usize) && !self.chi[target].get(w as usize) {
+                    if self.solution.chi[source].get(u as usize)
+                        && !self.solution.chi[target].get(w as usize)
+                    {
                         attempts.push((target, w));
                     }
                     continue;
                 }
-                if !self.chi[source].get(u as usize) {
+                if !self.solution.chi[source].get(u as usize) {
                     continue;
                 }
-                if self.bump_support(i, w as usize) == 1 && !self.chi[target].get(w as usize) {
+                if self.bump_support(i, w as usize) == 1
+                    && !self.solution.chi[target].get(w as usize)
+                {
                     attempts.push((target, w));
                 }
             }
@@ -1074,12 +1101,12 @@ impl DeltaSolver {
         // Phase 2: cascade the optimistic re-admissions to closure.
         let mut admitted: Vec<(usize, u32)> = Vec::new();
         while let Some((v, w)) = attempts.pop() {
-            if self.chi[v].get(w as usize) || !admissible(v, w) {
+            if self.solution.chi[v].get(w as usize) || !admissible(v, w) {
                 continue;
             }
             self.set_chi_bit(v, w as usize);
             self.counts[v] += 1;
-            self.stats.reactivations += 1;
+            self.solution.stats.reactivations += 1;
             admitted.push((v, w));
             // The new candidate supports one more row of every seeded
             // inequality sourced at v; walk it like a removal in
@@ -1100,10 +1127,12 @@ impl DeltaSolver {
                 else {
                     unreachable!("edge_ineqs_by_source holds labeled edges only");
                 };
-                self.stats.row_lookups += 1;
+                self.solution.stats.row_lookups += 1;
                 let matrix = multiply_matrix(db_after, a, forward);
                 for &c in matrix.row(w as usize) {
-                    if self.bump_support(i, c as usize) == 1 && !self.chi[target].get(c as usize) {
+                    if self.bump_support(i, c as usize) == 1
+                        && !self.solution.chi[target].get(c as usize)
+                    {
                         attempts.push((target, c));
                     }
                 }
@@ -1114,20 +1143,20 @@ impl DeltaSolver {
                 let Inequality::Subset { sub, .. } = soi.ineqs[i] else {
                     unreachable!("subset_ineqs_by_sup holds subset inequalities only");
                 };
-                if !self.chi[sub].get(w as usize) {
+                if !self.solution.chi[sub].get(w as usize) {
                     attempts.push((sub, w));
                 }
             }
         }
         debug_assert_eq!(
             self.chi_word_total,
-            chi_words(&self.chi),
+            chi_words(&self.solution.chi),
             "incremental χ-word accounting drifted across re-admission"
         );
         // The cascade's peak is the insertion high-water mark: the cull
         // and drain only shrink χ from here.
-        self.stats.observe_chi_words(self.chi_word_total);
-        self.stats.observe_slab_words(self.slab_word_total);
+        self.solution.stats.observe_chi_words(self.chi_word_total);
+        self.solution.stats.observe_slab_words(self.slab_word_total);
 
         // Cull: remove admitted candidates that violate an inequality
         // through the target-side indexes. Counters still include the
@@ -1137,7 +1166,7 @@ impl DeltaSolver {
         // below, never kept.
         let mut early = false;
         'cull: for &(v, w) in &admitted {
-            if !self.chi[v].get(w as usize) {
+            if !self.solution.chi[v].get(w as usize) {
                 continue; // culled already via a subset sup side
             }
             let mut violated = false;
@@ -1157,7 +1186,7 @@ impl DeltaSolver {
                             // source χ covers every non-empty row, so
                             // column w is supported iff it is non-empty
                             // (= row w of the transposed matrix).
-                            self.stats.row_lookups += 1;
+                            self.solution.stats.row_lookups += 1;
                             violated = multiply_matrix(db_after, a, !forward)
                                 .row(w as usize)
                                 .is_empty();
@@ -1177,7 +1206,7 @@ impl DeltaSolver {
                     let Inequality::Subset { sup, .. } = soi.ineqs[i] else {
                         unreachable!("subset_ineqs_by_sub holds subset inequalities only");
                     };
-                    if !self.chi[sup].get(w as usize) {
+                    if !self.solution.chi[sup].get(w as usize) {
                         violated = true;
                         break;
                     }
@@ -1204,14 +1233,14 @@ impl DeltaSolver {
         // (the solve *became* empty), but an insertion can revive a
         // legitimately empty solution under `early_exit: false` —
         // recompute it from the live counts.
-        self.stats.emptied_mandatory = soi
+        self.solution.stats.emptied_mandatory = soi
             .vars
             .iter()
             .enumerate()
             .any(|(v, var)| var.mandatory && self.counts[v] == 0);
-        self.stats.observe_chi_words(self.chi_word_total);
-        self.stats.observe_slab_words(self.slab_word_total);
-        self.stats.final_candidates = self.counts.iter().sum();
+        self.solution.stats.observe_chi_words(self.chi_word_total);
+        self.solution.stats.observe_slab_words(self.slab_word_total);
+        self.solution.stats.final_candidates = self.counts.iter().sum();
         Ok(())
     }
 
@@ -1219,10 +1248,10 @@ impl DeltaSolver {
     /// the running total (an RLE clear can split a run, +1 word, or
     /// drop one, −1; dense never changes).
     fn clear_chi_bit(&mut self, v: usize, w: usize) {
-        let before = self.chi[v].storage_words();
-        self.chi[v].clear(w);
-        self.chi_word_total = self.chi_word_total - before + self.chi[v].storage_words();
-        self.journal_op(JournalOp::ChiClear {
+        let before = self.solution.chi[v].storage_words();
+        self.solution.chi[v].clear(w);
+        self.chi_word_total = self.chi_word_total - before + self.solution.chi[v].storage_words();
+        self.chi_undo(ChiUndo::Clear {
             v: v as u32,
             w: w as u32,
         });
@@ -1233,10 +1262,10 @@ impl DeltaSolver {
     /// extend one, ±0, or open a new one, +1; dense never changes) —
     /// the mirror of [`Self::clear_chi_bit`].
     fn set_chi_bit(&mut self, v: usize, w: usize) {
-        let before = self.chi[v].storage_words();
-        self.chi[v].set(w);
-        self.chi_word_total = self.chi_word_total - before + self.chi[v].storage_words();
-        self.journal_op(JournalOp::ChiSet {
+        let before = self.solution.chi[v].storage_words();
+        self.solution.chi[v].set(w);
+        self.chi_word_total = self.chi_word_total - before + self.solution.chi[v].storage_words();
+        self.chi_undo(ChiUndo::Set {
             v: v as u32,
             w: w as u32,
         });
@@ -1247,27 +1276,40 @@ impl DeltaSolver {
     /// slab may add a tracked column or spill to dense. Returns the new
     /// count, so the caller can react to the 0→1 frontier signal.
     fn bump_support(&mut self, i: usize, w: usize) -> u32 {
-        self.stats.counter_increments += 1;
+        self.solution.stats.counter_increments += 1;
         let before = self.support[i].storage_words();
         let count = self.support[i].increment(w);
         self.slab_word_total = self.slab_word_total - before + self.support[i].storage_words();
-        self.journal_op(JournalOp::SlabInc {
+        self.journal_op(SlabUndo::Inc {
             i: i as u32,
             w: w as u32,
         });
         count
     }
 
-    /// Appends one undo record to the epoch journal. Outside an epoch —
-    /// or with journaling off — this is a branch and nothing else, so
-    /// cold solves pay (almost) nothing for passing through the
-    /// journaled mutation helpers.
+    /// Appends one χ undo record to the open epoch, journal or not
+    /// (`journal_entries` counts it only when journaling is on). Outside
+    /// an epoch this is a branch and nothing else, so cold solves pay
+    /// (almost) nothing for passing through the mutation helpers.
     #[inline]
-    fn journal_op(&mut self, op: JournalOp) {
+    fn chi_undo(&mut self, op: ChiUndo) {
+        if let Some(epoch) = &mut self.epoch {
+            epoch.chi_undo.push(op);
+            if epoch.journal.is_some() {
+                self.solution.stats.journal_entries += 1;
+            }
+        }
+    }
+
+    /// Appends one counter undo record to the epoch journal. Outside an
+    /// epoch — or with journaling off — this is a branch and nothing
+    /// else.
+    #[inline]
+    fn journal_op(&mut self, op: SlabUndo) {
         if let Some(epoch) = &mut self.epoch {
             if let Some(journal) = &mut epoch.journal {
                 journal.ops.push(op);
-                self.stats.journal_entries += 1;
+                self.solution.stats.journal_entries += 1;
             }
         }
     }
@@ -1277,10 +1319,10 @@ impl DeltaSolver {
     /// the solve must early-exit (the caller then invokes [`Self::kill`]).
     fn remove_cleared_bit(&mut self, soi: &Soi, config: &SolverConfig, v: usize, w: u32) -> bool {
         self.counts[v] -= 1;
-        self.stats.updates += 1;
+        self.solution.stats.updates += 1;
         self.queue.push((v as u32, w));
         if self.counts[v] == 0 && soi.vars[v].mandatory {
-            self.stats.emptied_mandatory = true;
+            self.solution.stats.emptied_mandatory = true;
             if config.early_exit {
                 return true;
             }
@@ -1325,7 +1367,11 @@ impl DeltaSolver {
             // here leaves nothing half-merged for the rollback to chase.
             if let Some(epoch) = &self.epoch {
                 if let Some(budget) = config.drain_budget {
-                    let spent = self.stats.work_ops().saturating_sub(epoch.work_at_begin);
+                    let spent = self
+                        .solution
+                        .stats
+                        .work_ops()
+                        .saturating_sub(epoch.work_at_begin);
                     if spent > budget {
                         return Err(MaintainError::BudgetExceeded { budget, spent });
                     }
@@ -1333,8 +1379,8 @@ impl DeltaSolver {
                 failpoints::check("mid-round")?;
             }
             let batch = std::mem::take(&mut self.queue);
-            self.stats.drain_rounds += 1;
-            self.stats.delta_removals += batch.len();
+            self.solution.stats.drain_rounds += 1;
+            self.solution.stats.delta_removals += batch.len();
 
             // Group the round's removals by source variable, so every
             // shard walks only its own removals. `by_var` is persistent
@@ -1398,10 +1444,10 @@ impl DeltaSolver {
                     });
                 }
             }
-            self.stats.shard_units += units.len();
+            self.solution.stats.shard_units += units.len();
 
             for unit in &mut units {
-                unit.process(db, &by_var[unit.source as usize], &self.chi);
+                unit.process(db, &by_var[unit.source as usize], &self.solution.chi);
             }
 
             // Merge: hand every slab back, fold the per-shard work
@@ -1415,20 +1461,20 @@ impl DeltaSolver {
                     // Structural invariant: peek just returned Some.
                     #[allow(clippy::expect_used)]
                     let mut unit = unit_iter.next().expect("peeked");
-                    self.stats.counter_decrements += unit.decrements;
-                    self.stats.counter_inits += unit.inits;
-                    self.stats.row_lookups += unit.row_lookups;
+                    self.solution.stats.counter_decrements += unit.decrements;
+                    self.solution.stats.counter_inits += unit.inits;
+                    self.solution.stats.row_lookups += unit.row_lookups;
                     if unit.lazy_seeded {
-                        self.stats.lazy_seeds += 1;
+                        self.solution.stats.lazy_seeds += 1;
                         self.slab_word_total += unit.slab.storage_words();
-                        self.journal_op(JournalOp::SlabSeeded { i });
+                        self.journal_op(SlabUndo::Seeded { i });
                     }
                     // Fold the shard's decrement log into the epoch
                     // journal (seed first: reverse replay then undoes
                     // the decrements before dropping the seed).
                     if let Some(log) = unit.journal.take() {
                         for &w in &log {
-                            self.journal_op(JournalOp::SlabDec { i, w });
+                            self.journal_op(SlabUndo::Dec { i, w });
                         }
                     }
                     let target = unit.target as usize;
@@ -1436,7 +1482,7 @@ impl DeltaSolver {
                     self.support[i as usize] = unit.slab;
                     if !early {
                         for &w in &proposals {
-                            if self.chi[target].get(w as usize) {
+                            if self.solution.chi[target].get(w as usize) {
                                 self.clear_chi_bit(target, w as usize);
                                 if self.remove_cleared_bit(soi, config, target, w) {
                                     early = true;
@@ -1450,7 +1496,7 @@ impl DeltaSolver {
                 } else if !early {
                     if let Inequality::Subset { sub, sup } = soi.ineqs[i as usize] {
                         for &u in &by_var[sup] {
-                            if !self.chi[sub].get(u as usize) {
+                            if !self.solution.chi[sub].get(u as usize) {
                                 continue;
                             }
                             self.clear_chi_bit(sub, u as usize);
@@ -1477,11 +1523,11 @@ impl DeltaSolver {
             self.units = units;
             debug_assert_eq!(
                 self.chi_word_total,
-                chi_words(&self.chi),
+                chi_words(&self.solution.chi),
                 "incremental χ-word accounting drifted"
             );
-            self.stats.observe_chi_words(self.chi_word_total);
-            self.stats.observe_slab_words(self.slab_word_total);
+            self.solution.stats.observe_chi_words(self.chi_word_total);
+            self.solution.stats.observe_slab_words(self.slab_word_total);
             if early {
                 return Ok(true);
             }
@@ -1492,23 +1538,19 @@ impl DeltaSolver {
     /// Early exit: empties every variable (the convention shared with the
     /// re-evaluation engine's `empty_solution`) and freezes the state.
     fn kill(&mut self) {
-        // Wholesale clears are not per-bit ops; journal the pre-kill χ
-        // snapshot instead (only when a journaling epoch is open — the
-        // clone is not free).
-        if self
-            .epoch
-            .as_ref()
-            .is_some_and(|epoch| epoch.journal.is_some())
-        {
-            let snapshot = self.chi.clone();
-            self.journal_op(JournalOp::Killed { chi: snapshot });
+        // Wholesale clears are not per-bit ops; log the pre-kill χ
+        // snapshot instead (only inside an epoch — the clone is not
+        // free, and a cold solve has nothing to roll back to).
+        if self.epoch.is_some() {
+            let snapshot = self.solution.chi.clone();
+            self.chi_undo(ChiUndo::Killed { chi: snapshot });
         }
-        for c in self.chi.iter_mut() {
+        for c in self.solution.chi.iter_mut() {
             c.clear_all();
         }
-        self.chi_word_total = chi_words(&self.chi);
+        self.chi_word_total = chi_words(&self.solution.chi);
         self.counts.iter_mut().for_each(|c| *c = 0);
-        self.stats.final_candidates = 0;
+        self.solution.stats.final_candidates = 0;
         self.queue.clear();
         self.dead = true;
     }
@@ -1519,40 +1561,36 @@ impl DeltaSolver {
         self.poisoned
     }
 
-    /// The engine's cumulative work counters (no χ clone, unlike
-    /// [`Self::solution`]).
-    pub(crate) fn stats(&self) -> &SolveStats {
-        &self.stats
-    }
-
     /// Folds the robustness counters of a previous engine's stats into
     /// this one — used by [`crate::IncrementalDualSim`] when a poisoned
     /// engine is replaced by a cold rebuild, so `rollbacks`/`poisonings`
     /// /`budget_aborts`/`journal_entries` keep counting across the
     /// engine's lifetimes.
     pub(crate) fn carry_robustness_from(&mut self, prev: &SolveStats) {
-        self.stats.rollbacks += prev.rollbacks;
-        self.stats.poisonings += prev.poisonings;
-        self.stats.budget_aborts += prev.budget_aborts;
-        self.stats.journal_entries += prev.journal_entries;
+        self.solution.stats.rollbacks += prev.rollbacks;
+        self.solution.stats.poisonings += prev.poisonings;
+        self.solution.stats.budget_aborts += prev.budget_aborts;
+        self.solution.stats.journal_entries += prev.journal_entries;
     }
 
     /// Opens the update epoch for one maintenance batch: snapshots the
-    /// cheap scalar state (stats, counts, liveness) and starts an empty
-    /// journal when [`SolverConfig::journal`] is on. The work-ops
+    /// cheap scalar state that travels with χ (counts, liveness), starts
+    /// an empty χ undo log, and — when [`SolverConfig::journal`] is on —
+    /// a counter journal with a snapshot of the stats. The work-ops
     /// watermark anchors the drain-budget accounting.
     fn begin_epoch(&mut self, config: &SolverConfig) {
         debug_assert!(self.epoch.is_none(), "maintenance epochs never nest");
         debug_assert!(self.queue.is_empty(), "worklist drained between batches");
         let journal = config.journal.then(|| Journal {
             ops: Vec::new(),
-            stats: self.stats.clone(),
-            counts: self.counts.clone(),
-            dead: self.dead,
+            stats: self.solution.stats.clone(),
         });
         self.epoch = Some(Epoch {
+            chi_undo: Vec::new(),
+            counts: self.counts.clone(),
+            dead: self.dead,
             journal,
-            work_at_begin: self.stats.work_ops(),
+            work_at_begin: self.solution.stats.work_ops(),
         });
     }
 
@@ -1578,7 +1616,7 @@ impl DeltaSolver {
             Some(h) => h(),
             None => Ok(()),
         });
-        match result {
+        let result = match result {
             Ok(()) => {
                 self.commit_epoch();
                 Ok(())
@@ -1587,7 +1625,15 @@ impl DeltaSolver {
                 self.handle_abort(&cause);
                 Err(cause)
             }
-        }
+        };
+        debug_assert!(
+            self.counts
+                .iter()
+                .zip(&self.solution.chi)
+                .all(|(&n, chi)| n == chi.count_ones()),
+            "per-variable candidate counts drifted from χ"
+        );
+        result
     }
 
     /// The degradation ladder for an aborted batch. A successful
@@ -1595,22 +1641,21 @@ impl DeltaSolver {
     /// budget exhaustion additionally poisons the engine (the batch was
     /// too expensive to maintain incrementally — retrying would burn the
     /// same budget again, so the owner should fall back to a cold
-    /// solve). A failed rollback (or journaling turned off) poisons
-    /// without restoring: the state cannot be trusted in either
-    /// direction.
+    /// solve). A failed rollback (or journaling turned off) restores χ
+    /// only and poisons: the counters cannot be trusted.
     fn handle_abort(&mut self, cause: &MaintainError) {
         let budget_abort = matches!(cause, MaintainError::BudgetExceeded { .. });
         match self.abort_epoch() {
             Ok(()) => {
-                self.stats.rollbacks += 1;
+                self.solution.stats.rollbacks += 1;
                 if budget_abort {
-                    self.stats.budget_aborts += 1;
+                    self.solution.stats.budget_aborts += 1;
                     self.poison();
                 }
             }
             Err(_) => {
                 if budget_abort {
-                    self.stats.budget_aborts += 1;
+                    self.solution.stats.budget_aborts += 1;
                 }
                 self.poison();
             }
@@ -1620,45 +1665,52 @@ impl DeltaSolver {
     /// Marks the engine unusable until a cold rebuild.
     fn poison(&mut self) {
         self.poisoned = true;
-        self.stats.poisonings += 1;
+        self.solution.stats.poisonings += 1;
     }
 
-    /// Replays the journal in reverse, restoring the exact pre-batch
-    /// state: χ bit flips are inverted, counter increments/decrements
-    /// undone, lazy-seed promotions unseeded, and a kill's χ snapshot
-    /// restored wholesale; the scalar snapshots (stats, counts,
-    /// liveness) are then copied back and the storage-word gauges
-    /// recomputed. Fails when journaling was off for this epoch — or
-    /// when the `rollback` failpoint models a crashing rollback — in
-    /// which case the state is left as-is for the caller to poison.
+    /// Rolls the epoch back in two steps. First χ, always: its undo
+    /// log is replayed in reverse (bit flips inverted, a kill's snapshot
+    /// restored wholesale) and the counts and liveness copied back, so
+    /// the published solution is the pre-batch one whatever happens
+    /// next. Then, with the journal on, the counters: increments and
+    /// decrements undone, lazy-seed promotions unseeded, and the stats
+    /// copied back. Fails when journaling was off for this epoch — or
+    /// when the `rollback` failpoint models a rollback crashing between
+    /// the two steps — in which case the counters and stats are left
+    /// as-is for the caller to poison.
     fn abort_epoch(&mut self) -> Result<(), MaintainError> {
         debug_assert!(self.epoch.is_some(), "abort_epoch outside an epoch");
         let Some(epoch) = self.epoch.take() else {
             return Err(MaintainError::Poisoned);
         };
+        for op in epoch.chi_undo.into_iter().rev() {
+            match op {
+                ChiUndo::Set { v, w } => self.solution.chi[v as usize].clear(w as usize),
+                ChiUndo::Clear { v, w } => self.solution.chi[v as usize].set(w as usize),
+                ChiUndo::Killed { chi } => self.solution.chi = chi,
+            }
+        }
+        self.counts = epoch.counts;
+        self.dead = epoch.dead;
+        self.queue.clear();
+        self.chi_word_total = chi_words(&self.solution.chi);
+        self.solution.stats.final_candidates = self.candidates();
         let Some(mut journal) = epoch.journal else {
             return Err(MaintainError::Poisoned);
         };
         failpoints::check("rollback")?;
         while let Some(op) = journal.ops.pop() {
             match op {
-                JournalOp::ChiSet { v, w } => self.chi[v as usize].clear(w as usize),
-                JournalOp::ChiClear { v, w } => self.chi[v as usize].set(w as usize),
-                JournalOp::SlabInc { i, w } => {
+                SlabUndo::Inc { i, w } => {
                     self.support[i as usize].decrement(w as usize);
                 }
-                JournalOp::SlabDec { i, w } => {
+                SlabUndo::Dec { i, w } => {
                     self.support[i as usize].increment(w as usize);
                 }
-                JournalOp::SlabSeeded { i } => self.support[i as usize].unseed(),
-                JournalOp::Killed { chi } => self.chi = chi,
+                SlabUndo::Seeded { i } => self.support[i as usize].unseed(),
             }
         }
-        self.stats = journal.stats;
-        self.counts = journal.counts;
-        self.dead = journal.dead;
-        self.queue.clear();
-        self.chi_word_total = chi_words(&self.chi);
+        self.solution.stats = journal.stats;
         self.slab_word_total = self.support.iter().map(CounterSlab::storage_words).sum();
         Ok(())
     }
@@ -2113,7 +2165,7 @@ mod tests {
             assert!(engine.insert_triples(&db, &soi, cfg, last).unwrap());
             engine.retract_triples(&db_before, &soi, cfg, last).unwrap();
             assert!(engine.insert_triples(&db, &soi, cfg, last).unwrap());
-            engine.solution()
+            engine.solution
         };
         let base = run(&delta_cfg(false));
         assert_eq!(base.chi, solve(&db, &soi, &delta_cfg(false)).chi);
@@ -2152,6 +2204,10 @@ mod tests {
 
     use crate::{failpoints, MaintainError};
 
+    fn count_ones(chi: &[ChiVec]) -> usize {
+        chi.iter().map(ChiVec::count_ones).sum()
+    }
+
     /// A fixture with a real deletion cascade: engine on the full
     /// database, plus the deletion batch (all q-triples) and the
     /// post-deletion database.
@@ -2170,7 +2226,7 @@ mod tests {
     fn out_of_vocabulary_batches_are_rejected_before_the_epoch() {
         let cfg = delta_cfg(false);
         let (db, soi, mut engine, db_after, qs) = retraction_fixture(&cfg);
-        let pre = engine.solution();
+        let pre = engine.solution().clone();
         let alien = Triple::new(db.num_nodes() as u32, 0, 0);
         assert_eq!(
             engine.retract_triples(&db_after, &soi, &cfg, &[alien]),
@@ -2198,7 +2254,7 @@ mod tests {
         for point in ["counter-increment", "pre-drain", "mid-round"] {
             let cfg = delta_cfg(false);
             let (_db, soi, mut engine, db_after, qs) = retraction_fixture(&cfg);
-            let pre = engine.solution();
+            let pre = engine.solution().clone();
             failpoints::disarm_all();
             failpoints::arm(point, 0);
             assert_eq!(
@@ -2235,7 +2291,7 @@ mod tests {
             let (rest, last) = all.split_at(all.len() - 2);
             let db_before = db.with_triples(rest).unwrap();
             let mut engine = DeltaSolver::new(&db_before, &soi, &cfg);
-            let pre = engine.solution();
+            let pre = engine.solution().clone();
             failpoints::disarm_all();
             failpoints::arm(point, 0);
             assert_eq!(
@@ -2261,7 +2317,7 @@ mod tests {
             ..delta_cfg(false)
         };
         let (_db, soi, mut engine, db_after, qs) = retraction_fixture(&cfg);
-        let pre = engine.solution();
+        let pre = engine.solution().clone();
         let err = engine
             .retract_triples(&db_after, &soi, &cfg, &qs)
             .unwrap_err();
@@ -2293,6 +2349,7 @@ mod tests {
     fn failing_rollback_poisons_without_restoring() {
         let cfg = delta_cfg(false);
         let (_db, soi, mut engine, db_after, qs) = retraction_fixture(&cfg);
+        let pre_chi = engine.solution().chi.clone();
         failpoints::disarm_all();
         failpoints::arm("pre-drain", 0);
         failpoints::arm("rollback", 0);
@@ -2302,7 +2359,11 @@ mod tests {
             "the original cause propagates, not the rollback failure"
         );
         failpoints::disarm_all();
-        let stats = engine.stats().clone();
+        // χ is restored before the rollback can fail; only the counters
+        // are left half-applied.
+        assert_eq!(engine.solution().chi, pre_chi);
+        assert_eq!(engine.candidates(), count_ones(&pre_chi));
+        let stats = engine.solution().stats.clone();
         assert_eq!(stats.rollbacks, 0, "the rollback never completed");
         assert_eq!(stats.poisonings, 1);
         assert!(engine.is_poisoned());
@@ -2315,6 +2376,7 @@ mod tests {
             ..delta_cfg(false)
         };
         let (_db, soi, mut engine, db_after, qs) = retraction_fixture(&cfg);
+        let pre_chi = engine.solution().chi.clone();
         failpoints::disarm_all();
         failpoints::arm("pre-drain", 0);
         assert_eq!(
@@ -2322,9 +2384,14 @@ mod tests {
             Err(MaintainError::Failpoint { point: "pre-drain" })
         );
         failpoints::disarm_all();
-        assert!(engine.is_poisoned(), "no journal, no rollback — poisoned");
-        assert_eq!(engine.stats().rollbacks, 0);
-        assert_eq!(engine.stats().poisonings, 1);
+        assert!(
+            engine.is_poisoned(),
+            "no journal, no counter rollback — poisoned"
+        );
+        assert_eq!(engine.solution().chi, pre_chi, "χ is restored all the same");
+        assert_eq!(engine.candidates(), count_ones(&pre_chi));
+        assert_eq!(engine.solution().stats.rollbacks, 0);
+        assert_eq!(engine.solution().stats.poisonings, 1);
     }
 
     #[test]
@@ -2367,7 +2434,7 @@ mod tests {
                 };
                 let label = format!("({chi_backend:?}, {slab_backend:?})");
                 let (_db, soi, mut engine, db_after, qs) = retraction_fixture(&cfg);
-                let pre = engine.solution();
+                let pre = engine.solution().clone();
                 failpoints::disarm_all();
                 failpoints::arm("mid-round", 0);
                 assert_eq!(

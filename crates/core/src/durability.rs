@@ -52,7 +52,7 @@
 
 use crate::delta::{DeltaSolver, EngineState, SlabState};
 use crate::failpoints;
-use crate::incremental::IncrementalDualSim;
+use crate::incremental::{IncrementalDualSim, Resident};
 use crate::soi::{Inequality, PatternEdge, SimulationKind, Soi, SoiVar};
 use crate::solver::{
     EvalStrategy, FixpointMode, IneqOrdering, InitMode, Solution, SolveStats, SolverConfig,
@@ -1610,14 +1610,12 @@ fn replay(
         engine,
         solution,
     } = decoded;
-    let engine = engine.map(|e| DeltaSolver::from_state(&soi, e)).transpose()?;
-    let solution = match (&engine, solution) {
-        (Some(e), _) => e.solution(),
-        (None, Some((chi, stats))) => Solution { chi, stats },
+    let resident = match (engine, solution) {
+        (Some(e), _) => Resident::Engine(DeltaSolver::from_state(&soi, e)?),
+        (None, Some((chi, stats))) => Resident::Solved(Solution { chi, stats }),
         (None, None) => return Err(corrupt("snapshot carries neither engine nor solution")),
     };
-    let mut sim =
-        IncrementalDualSim::from_restored(soi, config, engine, solution, warm, snapshot_epoch);
+    let mut sim = IncrementalDualSim::from_restored(soi, config, resident, warm, snapshot_epoch);
     let mut db = db;
     for record in tail {
         db.apply(record.insert, &record.batch)

@@ -38,15 +38,24 @@ use crate::durability::{self, Durability, DurabilityOptions, Recovered, Snapshot
 use crate::{solve, solve_from, FixpointMode, MaintainError, Soi, Solution, SolverConfig};
 use dualsim_graph::{GraphDb, Triple};
 
+/// The one owner of a maintained χ. (One per instance, so the size of
+/// the engine variant costs nothing worth an indirection.)
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+pub(crate) enum Resident {
+    /// The persistent delta engine (support counters included), which
+    /// lends its solution ([`FixpointMode::DeltaCounting`]).
+    Engine(DeltaSolver),
+    /// A solution with no engine behind it ([`FixpointMode::Reevaluate`]).
+    Solved(Solution),
+}
+
 /// A maintained largest-solution instance for one SOI.
 #[derive(Debug)]
 pub struct IncrementalDualSim {
     soi: Soi,
     config: SolverConfig,
-    solution: Solution,
-    /// Persistent delta engine (support counters included); `Some` iff
-    /// the configuration selects [`FixpointMode::DeltaCounting`].
-    engine: Option<DeltaSolver>,
+    resident: Resident,
     /// `true` iff the last update was served incrementally.
     warm: bool,
     /// Write-ahead log + snapshot handle; `Some` iff the instance was
@@ -67,8 +76,7 @@ impl Clone for IncrementalDualSim {
         IncrementalDualSim {
             soi: self.soi.clone(),
             config: self.config.clone(),
-            solution: self.solution.clone(),
-            engine: self.engine.clone(),
+            resident: self.resident.clone(),
             warm: self.warm,
             durability: None,
             epoch: self.epoch,
@@ -79,18 +87,14 @@ impl Clone for IncrementalDualSim {
 impl IncrementalDualSim {
     /// Solves from scratch and starts maintenance.
     pub fn new(db: &GraphDb, soi: Soi, config: SolverConfig) -> Self {
-        let (solution, engine) = match config.fixpoint {
-            FixpointMode::Reevaluate => (solve(db, &soi, &config), None),
-            FixpointMode::DeltaCounting => {
-                let engine = DeltaSolver::new(db, &soi, &config);
-                (engine.solution(), Some(engine))
-            }
+        let resident = match config.fixpoint {
+            FixpointMode::Reevaluate => Resident::Solved(solve(db, &soi, &config)),
+            FixpointMode::DeltaCounting => Resident::Engine(DeltaSolver::new(db, &soi, &config)),
         };
         IncrementalDualSim {
             soi,
             config,
-            solution,
-            engine,
+            resident,
             // The initial solve is a cold solve by definition; `warm`
             // reports on *updates*, of which there have been none.
             warm: false,
@@ -146,16 +150,14 @@ impl IncrementalDualSim {
     pub(crate) fn from_restored(
         soi: Soi,
         config: SolverConfig,
-        engine: Option<DeltaSolver>,
-        solution: Solution,
+        resident: Resident,
         warm: bool,
         epoch: u64,
     ) -> Self {
         IncrementalDualSim {
             soi,
             config,
-            solution,
-            engine,
+            resident,
             warm,
             durability: None,
             epoch,
@@ -198,11 +200,9 @@ impl IncrementalDualSim {
             return Ok(());
         };
         let meta = durability.meta().to_string();
-        let engine_state = self.engine.as_ref().map(DeltaSolver::export_state);
-        let solution = if engine_state.is_some() {
-            None
-        } else {
-            Some((&self.solution.chi[..], &self.solution.stats))
+        let (engine_state, solution) = match &self.resident {
+            Resident::Engine(engine) => (Some(engine.export_state()), None),
+            Resident::Solved(solution) => (None, Some((&solution.chi[..], &solution.stats))),
         };
         let state = SnapshotState {
             epoch: self.epoch,
@@ -230,9 +230,23 @@ impl IncrementalDualSim {
         }
     }
 
-    /// The maintained solution.
+    /// The maintained solution (the engine's own χ, lent — never a
+    /// copy).
     pub fn solution(&self) -> &Solution {
-        &self.solution
+        match &self.resident {
+            Resident::Engine(engine) => engine.solution(),
+            Resident::Solved(solution) => solution,
+        }
+    }
+
+    /// `Σ |χ(v)|` of [`Self::solution`] without a popcount: the delta
+    /// engine's per-variable counts, or the final count of the last
+    /// solve.
+    pub(crate) fn candidates(&self) -> usize {
+        match &self.resident {
+            Resident::Engine(engine) => engine.candidates(),
+            Resident::Solved(solution) => solution.stats.final_candidates,
+        }
     }
 
     /// The maintained system.
@@ -288,47 +302,46 @@ impl IncrementalDualSim {
                 .all(|t| !in_vocabulary(db_after, t) || !db_after.contains_triple(*t)),
             "deleted triples must be absent from db_after"
         );
-        let before: usize = self.solution.chi.iter().map(|c| c.count_ones()).sum();
+        let before = self.candidates();
         let epoch_next = self.epoch + 1;
-        if let Some(engine) = &mut self.engine {
-            // The WAL append runs as the epoch's commit hook, between a
-            // successful batch body and the commit: if it errors the
-            // batch rolls back with it, so memory and log agree.
-            let durability = &mut self.durability;
-            let mut hook = || wal_append(durability, epoch_next, false, deleted);
-            match engine.retract_triples_durable(
-                db_after,
-                &self.soi,
-                &self.config,
-                deleted,
-                Some(&mut hook),
-            ) {
-                Ok(()) => {
-                    self.solution = engine.solution();
-                    self.warm = true;
+        match &mut self.resident {
+            Resident::Engine(engine) => {
+                // The WAL append runs as the epoch's commit hook, between
+                // a successful batch body and the commit: if it errors
+                // the batch rolls back with it, so memory and log agree.
+                let durability = &mut self.durability;
+                let mut hook = || wal_append(durability, epoch_next, false, deleted);
+                match engine.retract_triples_durable(
+                    db_after,
+                    &self.soi,
+                    &self.config,
+                    deleted,
+                    Some(&mut hook),
+                ) {
+                    Ok(()) => self.warm = true,
+                    Err(e) if Self::degrades_to_cold(&e) => {
+                        // Served by a cold rebuild instead: log the
+                        // record *before* rebuilding, so a failed append
+                        // leaves the batch unserved rather than unlogged.
+                        wal_append(&mut self.durability, epoch_next, false, deleted)?;
+                        self.rebuild_cold(db_after);
+                    }
+                    Err(e) => return Err(e),
                 }
-                Err(e) if Self::degrades_to_cold(&e) => {
-                    // Served by a cold rebuild instead: log the record
-                    // *before* rebuilding, so a failed append leaves
-                    // the batch unserved rather than unlogged.
-                    wal_append(&mut self.durability, epoch_next, false, deleted)?;
-                    self.rebuild_cold(db_after);
-                }
-                Err(e) => return Err(e),
             }
-        } else {
-            wal_append(&mut self.durability, epoch_next, false, deleted)?;
-            // The previous χ is an upper bound of the new largest
-            // solution; early exit stays valid because emptiness is
-            // monotone too.
-            let initial = self.solution.chi.clone();
-            self.solution = solve_from(db_after, &self.soi, &self.config, initial);
-            self.warm = true;
+            Resident::Solved(solution) => {
+                wal_append(&mut self.durability, epoch_next, false, deleted)?;
+                // The previous χ is an upper bound of the new largest
+                // solution; early exit stays valid because emptiness is
+                // monotone too.
+                let initial = std::mem::take(&mut solution.chi);
+                *solution = solve_from(db_after, &self.soi, &self.config, initial);
+                self.warm = true;
+            }
         }
         self.epoch = epoch_next;
         self.snapshot_if_due(db_after)?;
-        let after: usize = self.solution.chi.iter().map(|c| c.count_ones()).sum();
-        Ok(before.saturating_sub(after))
+        Ok(before.saturating_sub(self.candidates()))
     }
 
     /// Re-establishes the largest solution after triples were
@@ -368,10 +381,10 @@ impl IncrementalDualSim {
                 .all(|t| !in_vocabulary(db_after, t) || db_after.contains_triple(*t)),
             "inserted triples must be present in db_after"
         );
-        let before: usize = self.solution.chi.iter().map(|c| c.count_ones()).sum();
+        let before = self.candidates();
         let epoch_next = self.epoch + 1;
         let mut warm = false;
-        if let Some(engine) = &mut self.engine {
+        if let Resident::Engine(engine) = &mut self.resident {
             // See `apply_deletions`: the WAL append is the commit hook.
             let durability = &mut self.durability;
             let mut hook = || wal_append(durability, epoch_next, true, inserted);
@@ -388,13 +401,9 @@ impl IncrementalDualSim {
                     self.rebuild_cold(db_after);
                     self.epoch = epoch_next;
                     self.snapshot_if_due(db_after)?;
-                    let after: usize = self.solution.chi.iter().map(|c| c.count_ones()).sum();
-                    return Ok(after.saturating_sub(before));
+                    return Ok(self.candidates().saturating_sub(before));
                 }
                 Err(e) => return Err(e),
-            }
-            if warm {
-                self.solution = engine.solution();
             }
         }
         if !warm {
@@ -405,7 +414,7 @@ impl IncrementalDualSim {
             wal_append(&mut self.durability, epoch_next, true, inserted)?;
             match self.config.fixpoint {
                 FixpointMode::Reevaluate => {
-                    self.solution = solve(db_after, &self.soi, &self.config);
+                    self.resident = Resident::Solved(solve(db_after, &self.soi, &self.config));
                 }
                 FixpointMode::DeltaCounting => {
                     self.rebuild_cold(db_after);
@@ -415,8 +424,7 @@ impl IncrementalDualSim {
         self.warm = warm;
         self.epoch = epoch_next;
         self.snapshot_if_due(db_after)?;
-        let after: usize = self.solution.chi.iter().map(|c| c.count_ones()).sum();
-        Ok(after.saturating_sub(before))
+        Ok(self.candidates().saturating_sub(before))
     }
 
     /// `true` iff the last update was served by the warm-start path
@@ -430,20 +438,17 @@ impl IncrementalDualSim {
     /// transparently through a cold rebuild; this accessor only exists
     /// so harnesses can observe the degradation in between.
     pub fn engine_is_poisoned(&self) -> bool {
-        self.engine.as_ref().is_some_and(DeltaSolver::is_poisoned)
+        matches!(&self.resident, Resident::Engine(engine) if engine.is_poisoned())
     }
 
-    /// The live maintenance statistics. Prefers the resident delta
-    /// engine's counters over the solution snapshot: after a rolled-back
-    /// batch the snapshot still shows the pre-batch stats, while the
-    /// engine has already recorded the rollback in its robustness
-    /// counters. Falls back to the solution stats when no delta engine
-    /// is resident ([`FixpointMode::Reevaluate`]).
+    /// The live maintenance statistics: the stats of [`Self::solution`],
+    /// which the resident delta engine keeps as it works. After a
+    /// rolled-back batch they are the pre-batch stats plus the
+    /// robustness counters the rollback bumped; after an abort that
+    /// poisoned the engine they also keep the aborted batch's work,
+    /// since only χ was restored.
     pub fn maintenance_stats(&self) -> &crate::SolveStats {
-        match &self.engine {
-            Some(engine) => engine.stats(),
-            None => &self.solution.stats,
-        }
+        &self.solution().stats
     }
 
     /// The errors [`Self::apply_insertions`] / [`Self::apply_deletions`]
@@ -465,17 +470,9 @@ impl IncrementalDualSim {
     /// over the instance's lifetime. Serves both the dead-engine
     /// insertion fallback and the poisoned-engine degradation path.
     fn rebuild_cold(&mut self, db_after: &GraphDb) {
-        // The robustness counters live in the *engine's* stats — after
-        // an abort they are ahead of the last published solution
-        // snapshot (the abort itself bumped them).
-        let prev_stats = match &self.engine {
-            Some(engine) => engine.stats().clone(),
-            None => self.solution.stats.clone(),
-        };
         let mut engine = DeltaSolver::new(db_after, &self.soi, &self.config);
-        engine.carry_robustness_from(&prev_stats);
-        self.solution = engine.solution();
-        self.engine = Some(engine);
+        engine.carry_robustness_from(&self.solution().stats);
+        self.resident = Resident::Engine(engine);
         self.warm = false;
     }
 }

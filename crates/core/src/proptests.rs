@@ -431,94 +431,104 @@ proptest! {
         countdown in 0u32..3,
     ) {
         use crate::{failpoints, DurabilityOptions, MaintainError};
-        let config = cfg(FixpointMode::DeltaCounting, false);
         let sites = failpoints::registered_sites();
-        for (branch, soi) in build_sois_with(&db, &q, SimulationKind::Dual).into_iter().enumerate() {
-            let dir = scratch_dir();
-            let mut opts = DurabilityOptions::new(&dir);
-            // Snapshot every batch so the snapshot sites are reachable.
-            opts.snapshot_every = Some(1);
-            opts.meta = format!("branch {branch}");
-            let mut inc =
-                IncrementalDualSim::new_durable(&db, soi.clone(), config.clone(), &opts).unwrap();
-            let mut present: Vec<Triple> = db.triples().collect();
-            let mut absent: Vec<Triple> = Vec::new();
-            for (step, &(insert, pick)) in script.iter().enumerate() {
-                let (from, to) = if insert {
-                    (&mut absent, &mut present)
-                } else {
-                    (&mut present, &mut absent)
-                };
-                if from.is_empty() {
-                    continue;
-                }
-                let mut batch: Vec<Triple> = Vec::new();
-                for round in 0..=(pick as usize % 2) {
+        // With the journal off an abort cannot roll the counters back and
+        // poisons the engine, but the published χ is restored all the same.
+        let configs = [
+            cfg(FixpointMode::DeltaCounting, false),
+            SolverConfig {
+                journal: false,
+                ..cfg(FixpointMode::DeltaCounting, false)
+            },
+        ];
+        for config in configs {
+            for (branch, soi) in build_sois_with(&db, &q, SimulationKind::Dual).into_iter().enumerate() {
+                let dir = scratch_dir();
+                let mut opts = DurabilityOptions::new(&dir);
+                // Snapshot every batch so the snapshot sites are reachable.
+                opts.snapshot_every = Some(1);
+                opts.meta = format!("branch {branch}");
+                let mut inc =
+                    IncrementalDualSim::new_durable(&db, soi.clone(), config.clone(), &opts).unwrap();
+                let mut present: Vec<Triple> = db.triples().collect();
+                let mut absent: Vec<Triple> = Vec::new();
+                for (step, &(insert, pick)) in script.iter().enumerate() {
+                    let (from, to) = if insert {
+                        (&mut absent, &mut present)
+                    } else {
+                        (&mut present, &mut absent)
+                    };
                     if from.is_empty() {
-                        break;
+                        continue;
                     }
-                    let idx = (pick as usize + round) % from.len();
-                    batch.push(from.swap_remove(idx));
-                }
-                to.extend(&batch);
-                let db_after = db.with_triples(&present).unwrap();
-                let pre_chi = inc.solution().chi.clone();
-
-                // Rotate the crash site through every registered
-                // failpoint; the `rollback` site additionally arms
-                // `pre-drain` so there is an abort whose rollback can
-                // fail.
-                let point = sites[(step + pick as usize) % sites.len()];
-                failpoints::disarm_all();
-                failpoints::arm(point, countdown);
-                if point == "rollback" {
-                    failpoints::arm("pre-drain", 0);
-                }
-                let crashed = if insert {
-                    inc.apply_insertions(&db_after, &batch).map(|_| ())
-                } else {
-                    inc.apply_deletions(&db_after, &batch).map(|_| ())
-                };
-                failpoints::disarm_all();
-
-                match crashed {
-                    // A crash in the snapshot path happens *after* the
-                    // batch committed (WAL record on disk, epoch
-                    // advanced): the solution is the post-batch one and
-                    // no retry is due.
-                    Err(MaintainError::Failpoint { point })
-                        if point.starts_with("snapshot-") => {}
-                    Err(MaintainError::Failpoint { .. }) => {
-                        // The batch rolled back (or poisoned): the
-                        // published solution must be the untouched
-                        // pre-batch one either way.
-                        prop_assert_eq!(
-                            &inc.solution().chi, &pre_chi,
-                            "{} crash at {} left a half-applied batch", q, point
-                        );
-                        // Re-apply without faults: a warm engine
-                        // continues, a poisoned one heals by rebuild.
-                        let healed = if insert {
-                            inc.apply_insertions(&db_after, &batch).map(|_| ())
-                        } else {
-                            inc.apply_deletions(&db_after, &batch).map(|_| ())
-                        };
-                        prop_assert!(healed.is_ok(), "{} retry after {}: {:?}", q, point, healed);
-                        prop_assert!(!inc.engine_is_poisoned(), "{} still poisoned", q);
+                    let mut batch: Vec<Triple> = Vec::new();
+                    for round in 0..=(pick as usize % 2) {
+                        if from.is_empty() {
+                            break;
+                        }
+                        let idx = (pick as usize + round) % from.len();
+                        batch.push(from.swap_remove(idx));
                     }
-                    Err(e) => prop_assert!(false, "{} unexpected error {:?}", q, e),
-                    // The armed site was not reached (or its countdown
-                    // did not elapse): the batch applied normally.
-                    Ok(()) => {}
+                    to.extend(&batch);
+                    let db_after = db.with_triples(&present).unwrap();
+                    let pre_chi = inc.solution().chi.clone();
+
+                    // Rotate the crash site through every registered
+                    // failpoint; the `rollback` site additionally arms
+                    // `pre-drain` so there is an abort whose rollback can
+                    // fail.
+                    let point = sites[(step + pick as usize) % sites.len()];
+                    failpoints::disarm_all();
+                    failpoints::arm(point, countdown);
+                    if point == "rollback" {
+                        failpoints::arm("pre-drain", 0);
+                    }
+                    let crashed = if insert {
+                        inc.apply_insertions(&db_after, &batch).map(|_| ())
+                    } else {
+                        inc.apply_deletions(&db_after, &batch).map(|_| ())
+                    };
+                    failpoints::disarm_all();
+
+                    match crashed {
+                        // A crash in the snapshot path happens *after* the
+                        // batch committed (WAL record on disk, epoch
+                        // advanced): the solution is the post-batch one and
+                        // no retry is due.
+                        Err(MaintainError::Failpoint { point })
+                            if point.starts_with("snapshot-") => {}
+                        Err(MaintainError::Failpoint { .. }) => {
+                            // The batch rolled back (or poisoned): the
+                            // published solution must be the untouched
+                            // pre-batch one either way.
+                            prop_assert_eq!(
+                                &inc.solution().chi, &pre_chi,
+                                "{} crash at {} left a half-applied batch", q, point
+                            );
+                            // Re-apply without faults: a warm engine
+                            // continues, a poisoned one heals by rebuild.
+                            let healed = if insert {
+                                inc.apply_insertions(&db_after, &batch).map(|_| ())
+                            } else {
+                                inc.apply_deletions(&db_after, &batch).map(|_| ())
+                            };
+                            prop_assert!(healed.is_ok(), "{} retry after {}: {:?}", q, point, healed);
+                            prop_assert!(!inc.engine_is_poisoned(), "{} still poisoned", q);
+                        }
+                        Err(e) => prop_assert!(false, "{} unexpected error {:?}", q, e),
+                        // The armed site was not reached (or its countdown
+                        // did not elapse): the batch applied normally.
+                        Ok(()) => {}
+                    }
+                    let cold = solve(&db_after, &soi, &config);
+                    prop_assert_eq!(
+                        &inc.solution().chi, &cold.chi,
+                        "{} diverged from cold after {} crash at {} ({:?})",
+                        q, if insert { "insert" } else { "delete" }, point, batch
+                    );
                 }
-                let cold = solve(&db_after, &soi, &config);
-                prop_assert_eq!(
-                    &inc.solution().chi, &cold.chi,
-                    "{} diverged from cold after {} crash at {} ({:?})",
-                    q, if insert { "insert" } else { "delete" }, point, batch
-                );
+                std::fs::remove_dir_all(&dir).ok();
             }
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 
@@ -1128,5 +1138,173 @@ proptest! {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Candidate counts are bookkeeping, never recounts, so this pins
+    /// them to recounts: a memory-only session and one standalone
+    /// instance per query branch take the same random insert/delete
+    /// batches, with kills at `session-fanout` and at every engine site
+    /// (the `rollback` site together with `pre-drain`, so the rollback
+    /// itself fails) and explicit heals in between. After every step,
+    /// each `Committed`/`Healed` outcome's `gained`/`dropped` equals the
+    /// change of a full popcount of the query's served χ, the session's
+    /// `candidates` equals that popcount, and every instance's
+    /// `apply_*` return value and candidate total equal recounts too —
+    /// under the journal on and off, under RLE χ with sparse slabs, and
+    /// under re-evaluation.
+    #[test]
+    fn resident_candidate_counts_equal_full_recounts(
+        db in arb_db(),
+        texts in proptest::collection::vec(arb_query_text(), 2..4),
+        script in proptest::collection::vec((any::<bool>(), 0u8..250, 0usize..8), 2..8),
+        countdown in 0u32..3,
+    ) {
+        use crate::{
+            build_sois, failpoints, QueryOutcome, QuerySession, SessionOptions, Solution,
+        };
+
+        fn popcount<'a>(solutions: impl IntoIterator<Item = &'a Solution>) -> usize {
+            solutions
+                .into_iter()
+                .flat_map(|s| &s.chi)
+                .map(|c| c.count_ones())
+                .sum()
+        }
+
+        let configs = [
+            cfg(FixpointMode::DeltaCounting, false),
+            SolverConfig {
+                journal: false,
+                ..cfg(FixpointMode::DeltaCounting, false)
+            },
+            SolverConfig {
+                chi_backend: ChiBackend::Rle,
+                slab_backend: SlabBackend::Sparse,
+                ..cfg(FixpointMode::DeltaCounting, true)
+            },
+            cfg(FixpointMode::Reevaluate, false),
+        ];
+        // `None` is a fault-free batch, `Some(None)` an explicit heal of
+        // every unhealthy query after a fault-free batch.
+        let kills: [Option<Option<&'static str>>; 8] = [
+            None,
+            Some(None),
+            Some(Some("session-fanout")),
+            Some(Some("counter-increment")),
+            Some(Some("pre-drain")),
+            Some(Some("mid-round")),
+            Some(Some("post-cull")),
+            Some(Some("rollback")),
+        ];
+        let arm = |point: &'static str| {
+            failpoints::disarm_all();
+            failpoints::arm(point, countdown);
+            if point == "rollback" {
+                failpoints::arm("pre-drain", 0);
+            }
+        };
+        failpoints::disarm_all();
+        let mut session = QuerySession::new(db.clone(), SessionOptions::default());
+        let mut names: Vec<String> = Vec::new();
+        let mut sims: Vec<IncrementalDualSim> = Vec::new();
+        for (i, text) in texts.iter().enumerate() {
+            let name = format!("q{i}");
+            let config = configs[i % configs.len()].clone();
+            session.register(&name, text, config.clone()).unwrap();
+            let q = parse(text).unwrap();
+            for soi in build_sois(&db, &q) {
+                sims.push(IncrementalDualSim::new(&db, soi, config.clone()));
+            }
+            names.push(name);
+        }
+        let mut present: Vec<Triple> = db.triples().collect();
+        let mut absent: Vec<Triple> = Vec::new();
+        for &(insert, pick, kill) in &script {
+            let (from, to) = if insert {
+                (&mut absent, &mut present)
+            } else {
+                (&mut present, &mut absent)
+            };
+            if from.is_empty() {
+                continue;
+            }
+            let mut batch: Vec<Triple> = Vec::new();
+            for round in 0..=(pick as usize % 2) {
+                if from.is_empty() {
+                    break;
+                }
+                let idx = (pick as usize + round) % from.len();
+                batch.push(from.swap_remove(idx));
+            }
+            to.extend(&batch);
+            let point = kills[kill].flatten();
+
+            let pre: Vec<usize> = names
+                .iter()
+                .map(|n| popcount(session.solutions(n).unwrap()))
+                .collect();
+            if let Some(point) = point {
+                arm(point);
+            }
+            let report = session.apply_batch(insert, &batch).unwrap();
+            failpoints::disarm_all();
+            for (name, &before) in names.iter().zip(&pre) {
+                let after = popcount(session.solutions(name).unwrap());
+                prop_assert_eq!(session.candidates(name).unwrap(), after, "{} count", name);
+                match report.outcomes.get(name) {
+                    Some(QueryOutcome::Committed { gained, dropped, .. })
+                    | Some(QueryOutcome::Healed { gained, dropped, .. }) => {
+                        prop_assert_eq!(*gained, after.saturating_sub(before), "{} gained", name);
+                        prop_assert_eq!(*dropped, before.saturating_sub(after), "{} dropped", name);
+                    }
+                    _ => {}
+                }
+            }
+            if kills[kill] == Some(None) {
+                for name in &names {
+                    if !session.health(name).unwrap().is_healthy() {
+                        session.heal(name).unwrap();
+                    }
+                    let after = popcount(session.solutions(name).unwrap());
+                    prop_assert_eq!(session.candidates(name).unwrap(), after, "{} healed", name);
+                }
+            }
+
+            let db_after = session.db();
+            for sim in &mut sims {
+                let before = popcount([sim.solution()]);
+                let apply = |sim: &mut IncrementalDualSim| {
+                    if insert {
+                        sim.apply_insertions(db_after, &batch)
+                    } else {
+                        sim.apply_deletions(db_after, &batch)
+                    }
+                };
+                if let Some(point) = point.filter(|&p| p != "session-fanout") {
+                    arm(point);
+                }
+                let first = apply(sim);
+                failpoints::disarm_all();
+                let served = match first {
+                    Ok(n) => n,
+                    Err(e) => {
+                        // Rolled back, or poisoned with χ restored: the
+                        // published χ and its count are the pre-batch
+                        // ones. The retry serves the batch.
+                        prop_assert_eq!(popcount([sim.solution()]), before, "{:?}", e);
+                        prop_assert_eq!(sim.candidates(), before);
+                        apply(sim).unwrap()
+                    }
+                };
+                let after = popcount([sim.solution()]);
+                prop_assert_eq!(sim.candidates(), after);
+                let recount = if insert {
+                    after.saturating_sub(before)
+                } else {
+                    before.saturating_sub(after)
+                };
+                prop_assert_eq!(served, recount, "apply_* return value");
+            }
+        }
     }
 }

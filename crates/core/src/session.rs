@@ -316,10 +316,7 @@ impl RegisteredQuery {
     /// Total candidates over every branch's current χ — the served
     /// match-set size.
     fn candidates(&self) -> usize {
-        self.branches
-            .iter()
-            .map(|b| b.solution().chi.iter().map(|v| v.count_ones()).sum::<usize>())
-            .sum()
+        self.branches.iter().map(IncrementalDualSim::candidates).sum()
     }
 }
 

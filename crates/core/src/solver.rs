@@ -130,14 +130,18 @@ pub struct SolverConfig {
     /// (the default) never cancels. Cold solves ignore the budget —
     /// it bounds incremental maintenance, not initial convergence.
     pub drain_budget: Option<usize>,
-    /// Record a rollback journal during maintenance epochs so an
-    /// erroring batch can be aborted back to the exact pre-batch state.
+    /// Record a rollback journal of the support counters during
+    /// maintenance epochs so an erroring batch can be aborted back to
+    /// the exact pre-batch state. An abort restores χ, its candidate
+    /// counts and liveness in every case (the engine lends its χ as the
+    /// published solution); the journal adds the counters and the stats.
     /// Journaling performs **zero** additional logical work (it only
     /// appends undo records, counted by the `journal_entries` gauge, on
     /// mutations that already happen), so its cost is a constant factor
-    /// of wall time. Disabling it trades atomicity for that factor: an
-    /// erroring batch then poisons the engine instead of rolling back.
-    /// On by default.
+    /// of wall time. Disabling it forgoes the counter rollback: an
+    /// erroring batch still leaves the pre-batch χ in place, but the
+    /// counters cannot be trusted, so the engine is poisoned and the
+    /// next batch rebuilds it with a cold solve. On by default.
     pub journal: bool,
     /// Word-level kernel instantiation for the bit-vector/-matrix inner
     /// loops: portable scalar, 4×-unrolled, SIMD (AVX2 where the CPU

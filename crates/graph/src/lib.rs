@@ -40,7 +40,7 @@ mod vocab;
 mod proptests;
 
 pub use db::{Applied, ForwardCsr, GraphDb, GraphDbBuilder, LabelStats, Triple};
-pub use ntriples::{parse_ntriples, write_ntriples};
+pub use ntriples::{parse_ntriples, scan_ntriples_line, write_ntriples, ScannedTriple};
 pub use view::{ChiFilter, GraphView, LabelPairs, LabelView, Neighbors, PrunedView};
 pub use vocab::{NodeKind, Vocabulary};
 

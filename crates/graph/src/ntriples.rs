@@ -22,6 +22,10 @@
 //! literal is built in one buffer that every line reuses. The names are
 //! copied once, into the dictionary ([`crate::Vocabulary`]).
 //!
+//! [`scan_ntriples_line`] is that scan for one line, for readers of
+//! other line formats built on N-Triples (a signed update stream, say),
+//! so they accept exactly the lines [`parse_ntriples`] accepts.
+//!
 //! [`write_ntriples`] writes `<s> <p> <o> .` and `<s> <p> "literal" .`
 //! lines, escaping `"`, `\`, newline, tab and carriage return in
 //! literals, and [`parse_ntriples`] reads them back to the same triples.
@@ -46,16 +50,47 @@ pub fn parse_ntriples(input: &str) -> Result<GraphDb, GraphError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (s, p, o) = scan_triple(line, &mut decoded).map_err(|message| GraphError::Parse {
-            line: idx + 1,
-            message,
-        })?;
-        match o {
-            Object::Iri(o) => builder.add_triple(s, p, o)?,
-            Object::Literal(o) => builder.add_attribute(s, p, o)?,
+        let t = scan_ntriples_line(line, idx + 1, &mut decoded)?;
+        match t.object_kind {
+            NodeKind::Iri => builder.add_triple(t.subject, t.predicate, t.object)?,
+            NodeKind::Literal => builder.add_attribute(t.subject, t.predicate, t.object)?,
         }
     }
     Ok(builder.finish())
+}
+
+/// One triple of an N-Triples line, as [`scan_ntriples_line`] reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScannedTriple<'a> {
+    /// The subject IRI, without its brackets.
+    pub subject: &'a str,
+    /// The predicate IRI, without its brackets.
+    pub predicate: &'a str,
+    /// The object: an IRI without its brackets, or a literal's text with
+    /// its escapes decoded and its annotation kept.
+    pub object: &'a str,
+    /// Whether the object is an IRI or a literal (the subject is always
+    /// an IRI).
+    pub object_kind: NodeKind,
+}
+
+/// Scans one N-Triples line that is neither blank nor a comment, in the
+/// subset and with the decoding the module docs describe. A literal that
+/// has to be built is built in `scratch`, which the caller may reuse for
+/// every line; every other term is a slice of `line`.
+///
+/// # Errors
+/// [`GraphError::Parse`] carrying `line_no` for a line outside the
+/// accepted subset.
+pub fn scan_ntriples_line<'a>(
+    line: &'a str,
+    line_no: usize,
+    scratch: &'a mut String,
+) -> Result<ScannedTriple<'a>, GraphError> {
+    scan_triple(line, scratch).map_err(|message| GraphError::Parse {
+        line: line_no,
+        message,
+    })
 }
 
 /// Serializes a [`GraphDb`] as N-Triples, one triple per line, sorted by
@@ -81,29 +116,28 @@ pub fn write_ntriples(db: &GraphDb) -> String {
 /// [`GraphError::Parse`].
 type Scan<T> = Result<T, String>;
 
-/// The object of a scanned triple.
-enum Object<'a> {
-    Iri(&'a str),
-    Literal(&'a str),
-}
-
 /// Scans one non-blank, non-comment line into its three terms. A literal
 /// that must be built is built in `decoded`.
-fn scan_triple<'a>(line: &'a str, decoded: &'a mut String) -> Scan<(&'a str, &'a str, Object<'a>)> {
+fn scan_triple<'a>(line: &'a str, decoded: &'a mut String) -> Scan<ScannedTriple<'a>> {
     let mut rest = line;
-    let s = take_iri(&mut rest)?;
-    let p = take_iri(&mut rest)?;
+    let subject = take_iri(&mut rest)?;
+    let predicate = take_iri(&mut rest)?;
     rest = rest.trim_start();
-    let o = match rest.strip_prefix('"') {
+    let (object, object_kind) = match rest.strip_prefix('"') {
         Some(body) => {
             let (literal, tail) = take_literal(body, decoded)?;
             rest = tail;
-            Object::Literal(literal)
+            (literal, NodeKind::Literal)
         }
-        None => Object::Iri(take_iri(&mut rest)?),
+        None => (take_iri(&mut rest)?, NodeKind::Iri),
     };
     expect_end(rest)?;
-    Ok((s, p, o))
+    Ok(ScannedTriple {
+        subject,
+        predicate,
+        object,
+        object_kind,
+    })
 }
 
 fn take_iri<'a>(rest: &mut &'a str) -> Scan<&'a str> {

@@ -142,9 +142,10 @@ options:
                         N logical ops in one batch; the engine rolls the
                         batch back and the next update falls back to a
                         cold re-solve (default unlimited)
-  --no-journal          delta: disable the per-batch rollback journal
-                        (errors then poison the engine instead of
-                        restoring the pre-batch solution)
+  --no-journal          delta: disable the per-batch counter rollback
+                        journal; a failing batch still restores the
+                        pre-batch solution, but poisons the engine, so
+                        the next batch rebuilds it with a cold solve
   --output FILE.nt      prune: write the pruned database as N-Triples
   --engine E            eval: nested | hash            (default nested)
   --limit N             eval: print at most N rows     (default 20)
@@ -354,14 +355,20 @@ fn run(args: &[String]) -> Result<(), String> {
 /// One update batch: the sign (`true` = insert) and its triples.
 type UpdateBatch = (bool, Vec<dualsim::graph::Triple>);
 
-/// Parses one signed update line (`+`/`-` sign, three IRI terms, `.`).
+/// Parses one signed update line: a `+`/`-` sign, then one N-Triples
+/// line as the loader reads it (`dualsim::graph::scan_ntriples_line`,
+/// so a literal object and a trailing comment are accepted). Every term
+/// must name a node or predicate of `db`'s fixed vocabulary, as the same
+/// kind (IRI or literal) it has there. A decoded literal is built in
+/// `scratch`.
 fn parse_update_line(
     line: &str,
     line_no: usize,
     db: &GraphDb,
+    scratch: &mut String,
 ) -> Result<(bool, dualsim::graph::Triple), String> {
-    use dualsim::graph::Triple;
-    let (insert, mut rest) = if let Some(r) = line.strip_prefix('+') {
+    use dualsim::graph::{scan_ntriples_line, GraphError, NodeKind, Triple};
+    let (insert, rest) = if let Some(r) = line.strip_prefix('+') {
         (true, r)
     } else if let Some(r) = line.strip_prefix('-') {
         (false, r)
@@ -370,41 +377,54 @@ fn parse_update_line(
             "updates line {line_no}: expected a '+' or '-' sign before the triple"
         ));
     };
-    let mut term = |what: &str| -> Result<String, String> {
-        let t = rest
-            .trim_start()
-            .strip_prefix('<')
-            .ok_or_else(|| format!("updates line {line_no}: expected '<' opening the {what}"))?;
-        let end = t
-            .find('>')
-            .ok_or_else(|| format!("updates line {line_no}: unterminated {what}"))?;
-        rest = &t[end + 1..];
-        Ok(t[..end].to_owned())
+    let t = scan_ntriples_line(rest, line_no, scratch).map_err(|e| match e {
+        GraphError::Parse { message, .. } => format!("updates line {line_no}: {message}"),
+        other => format!("updates line {line_no}: {other}"),
+    })?;
+    let show = |name: &str, kind: NodeKind| match kind {
+        NodeKind::Iri => format!("<{name}>"),
+        NodeKind::Literal => format!("{name:?}"),
     };
-    let (s, p, o) = (term("subject")?, term("predicate")?, term("object")?);
-    if rest.trim() != "." {
-        return Err(format!("updates line {line_no}: expected terminating '.'"));
-    }
-    let node = |name: &str| {
-        db.node_id(name).ok_or_else(|| {
+    let node = |name: &str, kind: NodeKind| {
+        let id = db.node_id(name).ok_or_else(|| {
             format!(
-                "updates line {line_no}: node <{name}> is outside the database's \
-                 vocabulary (fixed at load time)"
+                "updates line {line_no}: node {} is outside the database's \
+                 vocabulary (fixed at load time)",
+                show(name, kind)
             )
-        })
+        })?;
+        if db.node_kind(id) != kind {
+            return Err(format!(
+                "updates line {line_no}: node {} is {} in the database",
+                show(name, kind),
+                match kind {
+                    NodeKind::Iri => "a literal",
+                    NodeKind::Literal => "an IRI",
+                }
+            ));
+        }
+        Ok(id)
     };
-    let label = db.label_id(&p).ok_or_else(|| {
+    let label = db.label_id(t.predicate).ok_or_else(|| {
         format!(
-            "updates line {line_no}: predicate <{p}> is outside the database's \
-             vocabulary (fixed at load time)"
+            "updates line {line_no}: predicate <{}> is outside the database's \
+             vocabulary (fixed at load time)",
+            t.predicate
         )
     })?;
-    Ok((insert, Triple::new(node(&s)?, label, node(&o)?)))
+    Ok((
+        insert,
+        Triple::new(
+            node(t.subject, NodeKind::Iri)?,
+            label,
+            node(t.object, t.object_kind)?,
+        ),
+    ))
 }
 
-/// Parses a signed update stream: N-Triples lines (IRI terms only)
-/// prefixed `+` or `-`; consecutive lines with the same sign form one
-/// batch. Every term must resolve in `db`'s fixed vocabulary.
+/// Parses a signed update stream: N-Triples lines prefixed `+` or `-`;
+/// consecutive lines with the same sign form one batch. Every term must
+/// resolve in `db`'s fixed vocabulary.
 ///
 /// With `skip_bad_lines` each unparsable line is collected (with its
 /// 1-based line number) instead of failing the whole stream; otherwise
@@ -417,12 +437,13 @@ fn parse_update_batches(
 ) -> Result<(Vec<UpdateBatch>, Vec<String>), String> {
     let mut batches: Vec<UpdateBatch> = Vec::new();
     let mut skipped: Vec<String> = Vec::new();
+    let mut scratch = String::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (insert, t) = match parse_update_line(line, idx + 1, db) {
+        let (insert, t) = match parse_update_line(line, idx + 1, db, &mut scratch) {
             Ok(parsed) => parsed,
             Err(msg) if skip_bad_lines => {
                 skipped.push(msg);

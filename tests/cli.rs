@@ -378,3 +378,88 @@ fn missing_data_file_is_reported() {
     let text = String::from_utf8(out.stderr).unwrap();
     assert!(text.contains("reading"), "{text}");
 }
+
+/// Writes an update stream next to the test databases.
+fn write_updates(name: &str, text: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("dualsim-cli-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+#[test]
+fn update_lines_read_literals_and_comments_like_the_loader() {
+    let db = write_db("maintain_literals.nt");
+    // A literal triple loaded from the data can be deleted and
+    // re-inserted, and a comment may follow the terminating dot.
+    let updates = write_updates(
+        "literals.txt",
+        "-<Saint John> <population> \"70063\" .\n\
+         +<Saint John> <population> \"70063\" .\n\
+         -<B. De Palma> <worked_with> <D. Koepp> . # gone\n",
+    );
+    let out = sparqlsim(&[
+        "maintain",
+        "--data",
+        db.to_str().unwrap(),
+        "--query-text",
+        "{ ?x population ?p }",
+        "--fixpoint",
+        "delta",
+        "--updates",
+        updates.to_str().unwrap(),
+    ]);
+    let text = String::from_utf8(out.stdout.clone()).unwrap();
+    assert!(out.status.success(), "{text}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(text.contains("batch 1: -1 triple(s), 2 candidate(s) dropped"), "{text}");
+    assert!(text.contains("batch 2: +1 triple(s), 2 candidate(s) gained"), "{text}");
+    assert!(text.contains("batch 3: -1 triple(s), 0 candidate(s) dropped"), "{text}");
+    assert!(text.contains("?p: 1 candidates [70063]"), "{text}");
+
+    // The comment line's deletion reaches a query that reads it.
+    let out = sparqlsim(&[
+        "maintain",
+        "--data",
+        db.to_str().unwrap(),
+        "--query-text",
+        "{ ?d directed ?m . ?d worked_with ?c }",
+        "--updates",
+        updates.to_str().unwrap(),
+    ]);
+    let text = String::from_utf8(out.stdout.clone()).unwrap();
+    assert!(out.status.success(), "{text}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(text.contains("batch 3: -1 triple(s), 3 candidate(s) dropped"), "{text}");
+    assert!(text.contains("?d: 1 candidates [G. Hamilton]"), "{text}");
+}
+
+#[test]
+fn update_terms_keep_the_kind_they_have_in_the_database() {
+    let db = write_db("maintain_kinds.nt");
+    for (name, line, complaint) in [
+        (
+            "iri_for_literal.txt",
+            "+<Saint John> <population> <70063> .\n",
+            "node <70063> is a literal in the database",
+        ),
+        (
+            "literal_for_iri.txt",
+            "-<B. De Palma> <worked_with> \"D. Koepp\" .\n",
+            "node \"D. Koepp\" is an IRI in the database",
+        ),
+    ] {
+        let updates = write_updates(name, &format!("+<T. Young> <directed> <Thunderball> .\n{line}"));
+        let out = sparqlsim(&[
+            "maintain",
+            "--data",
+            db.to_str().unwrap(),
+            "--query-text",
+            "{ ?x population ?p }",
+            "--updates",
+            updates.to_str().unwrap(),
+        ]);
+        assert!(!out.status.success());
+        let text = String::from_utf8(out.stderr).unwrap();
+        assert!(text.contains(&format!("updates line 2: {complaint}")), "{text}");
+    }
+}
